@@ -16,11 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from irislam.harness import HarnessConfig, index_dataset, run_train
-from irislam.imaging import save_gray_image
 from irislam.lamstar import LamstarConfig, classify, load_model
 from irislam.normalization import unwrap
 from irislam.segmentation import localize_iris
-from irislam.synthdata import make_benchmark, render_eye
+from irislam.synthdata import make_benchmark, render_eye, write_dataset
 
 
 def main():
@@ -37,10 +36,7 @@ def main():
     workdir = Path(tempfile.mkdtemp(prefix="irislam_rot_"))
     data = workdir / "eyes"
     train_eyes, test_eyes = make_benchmark(args.classes, args.train, args.test, args.seed)
-    for eye in train_eyes + test_eyes:
-        class_dir = data / f"class{eye.class_id:03d}"
-        class_dir.mkdir(parents=True, exist_ok=True)
-        save_gray_image(eye.image, class_dir / f"{eye.name}.pgm")
+    write_dataset(data, train_eyes + test_eyes)
 
     cfg = HarnessConfig(
         train_per_class=args.train, lamstar=LamstarConfig(normalized=True)

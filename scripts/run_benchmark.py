@@ -11,10 +11,8 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from irislam.harness import HarnessConfig, compare_variants, index_dataset
-from irislam.imaging import save_gray_image
-from irislam.harness import format_comparison
-from irislam.synthdata import make_benchmark
+from irislam.harness import HarnessConfig, compare_variants, format_comparison, index_dataset
+from irislam.synthdata import make_benchmark, write_dataset
 
 
 def main():
@@ -36,10 +34,7 @@ def main():
     train_eyes, test_eyes = make_benchmark(
         args.classes, args.train, args.test, args.seed, noise_sigma=args.noise
     )
-    for eye in train_eyes + test_eyes:
-        class_dir = data / f"class{eye.class_id:03d}"
-        class_dir.mkdir(parents=True, exist_ok=True)
-        save_gray_image(eye.image, class_dir / f"{eye.name}.pgm")
+    write_dataset(data, train_eyes + test_eyes)
 
     cfg = HarnessConfig(train_per_class=args.train, shift_range=args.shift_range)
     index = index_dataset(data, cfg.train_per_class)

@@ -3,7 +3,7 @@ winner-take-all LAMSTAR-style classifier, with a synthetic-eye benchmark."""
 
 from irislam.imaging import GrayImage, GradientField
 from irislam.segmentation import Circle, EdgeMap, IrisLocalization, LocalizationConfig
-from irislam.normalization import IrisTemplate, RadialSpan
+from irislam.normalization import IrisTemplate
 from irislam.lamstar import LamstarConfig, LamstarNetwork, Prediction
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "IrisLocalization",
     "LocalizationConfig",
     "IrisTemplate",
-    "RadialSpan",
     "LamstarConfig",
     "LamstarNetwork",
     "Prediction",

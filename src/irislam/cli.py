@@ -36,7 +36,7 @@ from irislam.imaging import GrayImage, load_gray_image, save_gray_image
 from irislam.lamstar import LamstarConfig
 from irislam.normalization import save_template, unwrap
 from irislam.segmentation import Circle, IrisLocalization, LocalizationConfig, localize_iris
-from irislam.synthdata import make_benchmark
+from irislam.synthdata import make_benchmark, write_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,13 +124,9 @@ def _cmd_synth(args) -> int:
     train, test = make_benchmark(
         args.classes, args.train, args.test, args.seed, noise_sigma=args.noise
     )
-    out = Path(args.out)
-    for eye in train + test:
-        class_dir = out / f"class{eye.class_id:03d}"
-        class_dir.mkdir(parents=True, exist_ok=True)
-        save_gray_image(eye.image, class_dir / f"{eye.name}.pgm")
+    write_dataset(args.out, train + test)
     print(f"wrote {len(train)} train + {len(test)} test images for "
-          f"{args.classes} classes under {out}")
+          f"{args.classes} classes under {args.out}")
     return EXIT_OK
 
 

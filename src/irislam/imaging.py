@@ -101,8 +101,10 @@ def load_gray_image(path: str | Path) -> GrayImage:
     (magic, w_tok, h_tok, maxval_tok), offset = _read_pgm_tokens(data, 4)
     if magic != b"P5":
         raise FormatError(f"unsupported PNM magic {magic.decode('ascii', 'replace')!r}; only P5 is handled")
-    width, height = int(w_tok), int(h_tok)
-    maxval = int(maxval_tok)
+    try:
+        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    except ValueError:
+        raise FormatError("non-numeric PGM header field") from None
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}; only 255 is handled")
     if width <= 0 or height <= 0:
@@ -142,6 +144,16 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _gradient_field(gx: np.ndarray, gy: np.ndarray) -> GradientField:
+    """Magnitude hypot(gx, gy) scaled to a global maximum of 1 (all zeros
+    when gx and gy are), and orientation atan2(gy, gx)."""
+    magnitude = np.hypot(gx, gy)
+    peak = magnitude.max()
+    if peak > 0:
+        magnitude = magnitude / peak
+    return GradientField(gx=gx, gy=gy, magnitude=magnitude, orientation=np.arctan2(gy, gx))
+
+
 def compute_gradient(img: GrayImage) -> GradientField:
     """3x3 Sobel derivatives with edge-clamped borders.
 
@@ -152,12 +164,7 @@ def compute_gradient(img: GrayImage) -> GradientField:
         raise ValueError(f"image must be at least 3x3, got {img.width}x{img.height}")
     gx = ndimage.sobel(img.pixels, axis=1, mode="nearest")
     gy = ndimage.sobel(img.pixels, axis=0, mode="nearest")
-    magnitude = np.hypot(gx, gy)
-    peak = magnitude.max()
-    if peak > 0:
-        magnitude = magnitude / peak
-    orientation = np.arctan2(gy, gx)
-    return GradientField(gx=gx, gy=gy, magnitude=magnitude, orientation=orientation)
+    return _gradient_field(gx, gy)
 
 
 def weight_vertical_gradient(field: GradientField, horizontal_weight: float) -> GradientField:
@@ -169,11 +176,4 @@ def weight_vertical_gradient(field: GradientField, horizontal_weight: float) -> 
     """
     if not 0.0 <= horizontal_weight <= 1.0:
         raise ValueError(f"horizontal_weight must be in [0, 1], got {horizontal_weight}")
-    gx = field.gx * horizontal_weight
-    gy = field.gy
-    magnitude = np.hypot(gx, gy)
-    peak = magnitude.max()
-    if peak > 0:
-        magnitude = magnitude / peak
-    orientation = np.arctan2(gy, gx)
-    return GradientField(gx=gx, gy=gy, magnitude=magnitude, orientation=orientation)
+    return _gradient_field(field.gx * horizontal_weight, field.gy)

@@ -37,15 +37,6 @@ class LamstarConfig:
     error_driven: bool = False  # update a link only when its class sum has the wrong sign
 
 
-@dataclass(frozen=True)
-class Subword:
-    """A unit-norm template column (or the zero vector, flagged)."""
-
-    values: np.ndarray
-    source_column: int = 0
-    is_zero: bool = False
-
-
 @dataclass(eq=False)
 class SomModule:
     """Ordered store of unit-norm neuron weight vectors for one column."""
@@ -62,22 +53,10 @@ class SomModule:
         return self.weights.shape[0]
 
 
-def normalize_subword(x: np.ndarray, source_column: int = 0) -> Subword:
-    """Scale to unit Euclidean norm; a (near-)zero vector is flagged."""
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm < _ZERO_NORM_EPS:
-        return Subword(values=np.zeros_like(x), source_column=source_column, is_zero=True)
-    return Subword(values=x / norm, source_column=source_column, is_zero=False)
-
-
-def template_to_subwords(t: IrisTemplate) -> list[Subword]:
-    """One normalized subword per template column, in column order."""
-    return [normalize_subword(t.values[:, j], source_column=j) for j in range(t.angular_res)]
-
-
-def _subword_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-normalized (num_columns, dim) matrix plus zero-column flags."""
+def subword_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Template columns as unit-norm subwords: a (num_columns, dim) matrix
+    in column order plus zero-column flags. A (near-)zero column becomes
+    the all-zero vector and is flagged."""
     cols = values.T.astype(np.float64, copy=True)
     norms = np.linalg.norm(cols, axis=1)
     zero = norms < _ZERO_NORM_EPS
@@ -87,35 +66,35 @@ def _subword_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def som_present(
-    module: SomModule, s: Subword, cfg: LamstarConfig, learn: bool = True
+    module: SomModule, s: np.ndarray, cfg: LamstarConfig, learn: bool = True
 ) -> tuple[int | None, bool]:
-    """Present one subword to one module.
+    """Present one unit-norm subword to one module.
 
     Returns (winner index, created). The best-matching neuron wins if its
     dot product clears cfg.winner_threshold (ties go to the lowest index).
     With learn=True a losing presentation appends a new neuron equal to
     the subword, and a winning neuron is pulled toward the subword by
     w <- w + alpha*(s - w) (renormalized each step) until its dot product
-    reaches cfg.convergence_target. Zero-flagged subwords abstain.
+    reaches cfg.convergence_target. The all-zero vector abstains.
     """
-    if s.is_zero:
+    if not s.any():
         return None, False
     if module.n_neurons:
-        dots = module.weights @ s.values
+        dots = module.weights @ s
         winner = int(np.argmax(dots))
         if dots[winner] >= cfg.winner_threshold:
             if learn:
                 w = module.weights[winner]
                 for _ in range(cfg.max_update_iters):
-                    if w @ s.values >= cfg.convergence_target:
+                    if w @ s >= cfg.convergence_target:
                         break
-                    w = w + cfg.learning_rate * (s.values - w)
+                    w = w + cfg.learning_rate * (s - w)
                     w = w / np.linalg.norm(w)
                 module.weights[winner] = w
             return winner, False
     if not learn:
         return None, False
-    module.weights = np.vstack([module.weights, s.values[None, :]])
+    module.weights = np.vstack([module.weights, s[None, :]])
     return module.n_neurons - 1, True
 
 
@@ -136,25 +115,9 @@ class DecisionLayer:
         self.weights = np.zeros((total, num_classes), dtype=np.float64)
         self.reward_counts = np.zeros((total, num_classes), dtype=np.int64)
 
-    def global_id(self, module: int, neuron: int) -> int:
-        if not 0 <= neuron < self.neuron_counts[module]:
-            raise IndexError(f"module {module} has no neuron {neuron}")
-        return int(self.offsets[module]) + neuron
-
-    def effective_weight(self, key: tuple[int, int, int], normalized: bool) -> float:
-        """Link weight for (module, neuron, class); divided by the reward
-        count (at least 1) in the normalized variant. Unknown keys read 0."""
-        module, neuron, cls = key
-        try:
-            gid = self.global_id(module, neuron)
-        except IndexError:
-            return 0.0
-        w = float(self.weights[gid, cls])
-        if normalized:
-            return w / max(1, int(self.reward_counts[gid, cls]))
-        return w
-
     def effective_matrix(self, normalized: bool) -> np.ndarray:
+        """Link weights by (global neuron, class); the normalized variant
+        divides each by its reward count (at least 1)."""
         if normalized:
             return self.weights / np.maximum(1, self.reward_counts)
         return self.weights
@@ -187,8 +150,7 @@ class LamstarNetwork:
         self.num_classes = num_classes
         self.config = config
         self.modules = [SomModule(dim=subword_dim) for _ in range(num_modules)]
-        self.decision: DecisionLayer | None = None
-        self._packed: tuple[np.ndarray, np.ndarray] | None = None
+        self.decision: DecisionLayer | None = None  # set by _freeze
 
     def _check_template(self, t: IrisTemplate) -> None:
         if t.radial_res != self.subword_dim or t.angular_res != self.num_modules:
@@ -197,23 +159,23 @@ class LamstarNetwork:
                 f"{self.subword_dim}x{self.num_modules}"
             )
 
-    def _pack_modules(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neuron weights padded to (num_modules, max_n, dim) plus validity mask."""
-        if self._packed is None:
-            max_n = max(1, max(m.n_neurons for m in self.modules))
-            packed = np.zeros((self.num_modules, max_n, self.subword_dim), dtype=np.float64)
-            valid = np.zeros((self.num_modules, max_n), dtype=bool)
-            for i, m in enumerate(self.modules):
-                packed[i, : m.n_neurons] = m.weights
-                valid[i, : m.n_neurons] = True
-            self._packed = (packed, valid)
-        return self._packed
+    def _freeze(self) -> None:
+        """End neuron growth: create the zeroed decision layer and pack the
+        neuron weights, padded to (num_modules, max_n, dim) with a validity
+        mask, for the winner search."""
+        counts = [m.n_neurons for m in self.modules]
+        self.decision = DecisionLayer(counts, self.num_classes)
+        packed = np.zeros((self.num_modules, max(1, max(counts)), self.subword_dim))
+        valid = np.zeros(packed.shape[:2], dtype=bool)
+        for i, m in enumerate(self.modules):
+            packed[i, : m.n_neurons] = m.weights
+            valid[i, : m.n_neurons] = True
+        self._packed, self._valid = packed, valid
 
     def _find_winners(self, subwords: np.ndarray, zero: np.ndarray) -> np.ndarray:
         """Global neuron id of the winner per module, -1 for abstentions."""
-        packed, valid = self._pack_modules()
-        dots = np.einsum("mnd,md->mn", packed, subwords)
-        dots[~valid] = -np.inf
+        dots = np.einsum("mnd,md->mn", self._packed, subwords)
+        dots[~self._valid] = -np.inf
         winner = np.argmax(dots, axis=1)
         best = dots[np.arange(self.num_modules), winner]
         ok = (best >= self.config.winner_threshold) & ~zero
@@ -243,18 +205,14 @@ def train(
     cfg = net.config
     start = time.perf_counter()
 
-    columns = []
-    for t in templates:
-        cols, zero = _subword_matrix(t.values)
-        columns.append((cols, zero))
+    columns = [subword_matrix(t.values) for t in templates]
 
     # SOM phase: sequential over templates, dynamic creation per module.
-    for cols, zero in columns:
+    for cols, _ in columns:
         for m in range(net.num_modules):
-            som_present(net.modules[m], Subword(cols[m], m, bool(zero[m])), cfg, learn=True)
+            som_present(net.modules[m], cols[m], cfg, learn=True)
 
-    net.decision = DecisionLayer([m.n_neurons for m in net.modules], net.num_classes)
-    net._packed = None
+    net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
     winners = [net._find_winners(cols, zero) for cols, zero in columns]
@@ -315,6 +273,8 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     """
     if net.decision is None:
         raise ValueError("network has not been trained")
+    if shift_range < 0:
+        raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
     eff = net.decision.effective_matrix(net.config.normalized)
     best_scores = None
@@ -322,7 +282,7 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     best_shift = 0
     for shift in range(-shift_range, shift_range + 1):
         vals = np.roll(t.values, shift, axis=1) if shift else t.values
-        cols, zero = _subword_matrix(vals)
+        cols, zero = subword_matrix(vals)
         gids = net._find_winners(cols, zero)
         active = gids[gids >= 0]
         scores = eff[active].sum(axis=0) if active.size else np.zeros(net.num_classes)
@@ -332,9 +292,9 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     return Prediction(class_index=int(np.argmax(best_scores)), scores=best_scores, shift=best_shift)
 
 
-def effective_weight(decision: DecisionLayer, key: tuple[int, int, int], normalized: bool) -> float:
-    """Module-level convenience mirroring DecisionLayer.effective_weight."""
-    return decision.effective_weight(key, normalized)
+# One sparse decision-layer entry of an LNS1 file.
+_RECORD = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
+                    ("weight", "<f8"), ("rewards", "<u8")])
 
 
 def save_model(net: LamstarNetwork, path: str | Path) -> None:
@@ -357,15 +317,14 @@ def save_model(net: LamstarNetwork, path: str | Path) -> None:
         parts.append(np.array(m.n_neurons, dtype="<u4").tobytes())
         parts.append(m.weights.astype("<f8").tobytes())
     dec = net.decision
-    nonzero = np.argwhere((dec.weights != 0) | (dec.reward_counts != 0))
-    record = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
-                       ("weight", "<f8"), ("rewards", "<u8")])
-    records = np.zeros(len(nonzero), dtype=record)
-    module_of = np.searchsorted(dec.offsets, nonzero[:, 0], side="right") - 1 if len(nonzero) else []
-    for i, (gid, cls) in enumerate(nonzero):
-        mod = int(module_of[i])
-        records[i] = (mod, int(gid - dec.offsets[mod]), int(cls),
-                      dec.weights[gid, cls], dec.reward_counts[gid, cls])
+    gids, classes = np.nonzero((dec.weights != 0) | (dec.reward_counts != 0))
+    module = np.searchsorted(dec.offsets, gids, side="right") - 1
+    records = np.zeros(len(gids), dtype=_RECORD)
+    records["module"] = module
+    records["neuron"] = gids - dec.offsets[module]
+    records["cls"] = classes
+    records["weight"] = dec.weights[gids, classes]
+    records["rewards"] = dec.reward_counts[gids, classes]
     parts.append(records.tobytes())
     parts.append(np.array(len(records), dtype="<u8").tobytes())
     Path(path).write_bytes(b"".join(parts))
@@ -378,37 +337,44 @@ def load_model(path: str | Path) -> LamstarNetwork:
     if nl < 0:
         raise FormatError("missing LNS1 header line")
     parts = data[:nl].decode("ascii", "replace").split()
-    if len(parts) != 7 or parts[0] != "LNS1":
+    if len(parts) != 7 or parts[0] != "LNS1" or parts[4] not in ("0", "1"):
         raise FormatError(f"bad LNS1 header: {data[:nl]!r}")
-    num_modules, subword_dim, num_classes = int(parts[1]), int(parts[2]), int(parts[3])
-    normalized = parts[4] == "1"
-    cfg = LamstarConfig(normalized=normalized, delta=float(parts[5]),
-                        winner_threshold=float(parts[6]))
+    try:
+        num_modules, subword_dim, num_classes = int(parts[1]), int(parts[2]), int(parts[3])
+        cfg = LamstarConfig(normalized=parts[4] == "1", delta=float(parts[5]),
+                            winner_threshold=float(parts[6]))
+    except ValueError:
+        raise FormatError(f"non-numeric LNS1 header field: {data[:nl]!r}") from None
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
     pos = nl + 1
     for m in net.modules:
         n = int(np.frombuffer(data, dtype="<u4", count=1, offset=pos)[0])
         pos += 4
-        nbytes = n * subword_dim * 8
         m.weights = (
             np.frombuffer(data, dtype="<f8", count=n * subword_dim, offset=pos)
             .reshape(n, subword_dim)
             .copy()
         )
-        pos += nbytes
-    net.decision = DecisionLayer([m.n_neurons for m in net.modules], num_classes)
-    record = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
-                       ("weight", "<f8"), ("rewards", "<u8")])
+        pos += n * subword_dim * 8
+    net._freeze()
     body = len(data) - pos - 8
-    if body < 0 or body % record.itemsize:
+    if body < 0 or body % _RECORD.itemsize:
         raise FormatError("malformed LNS1 decision-layer section")
-    n_records = body // record.itemsize
+    n_records = body // _RECORD.itemsize
     trailer = int(np.frombuffer(data, dtype="<u8", count=1, offset=len(data) - 8)[0])
     if trailer != n_records:
         raise FormatError(f"LNS1 trailer says {trailer} records, found {n_records}")
-    records = np.frombuffer(data, dtype=record, count=n_records, offset=pos)
-    for rec in records:
-        gid = net.decision.global_id(int(rec["module"]), int(rec["neuron"]))
-        net.decision.weights[gid, int(rec["cls"])] = float(rec["weight"])
-        net.decision.reward_counts[gid, int(rec["cls"])] = int(rec["rewards"])
+    records = np.frombuffer(data, dtype=_RECORD, count=n_records, offset=pos)
+    module = records["module"].astype(np.int64)
+    neuron = records["neuron"].astype(np.int64)
+    classes = records["cls"].astype(np.int64)
+    dec = net.decision
+    # A module index past the last module reads a neuron count of 0.
+    neuron_limit = np.append(dec.neuron_counts, 0)[np.minimum(module, num_modules)]
+    if np.any((neuron >= neuron_limit) | (classes >= num_classes)
+              | (records["rewards"] > np.iinfo(dec.reward_counts.dtype).max)):
+        raise FormatError("LNS1 decision record out of range")
+    gids = dec.offsets[module] + neuron
+    dec.weights[gids, classes] = records["weight"]
+    dec.reward_counts[gids, classes] = records["rewards"]
     return net

@@ -50,40 +50,15 @@ class IrisTemplate:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class RadialSpan:
-    """One sampling ray: from the pupil boundary to the iris boundary."""
-
-    theta: float
-    inner_point: tuple[float, float]
-    outer_point: tuple[float, float]
-    r_prime: float  # distance from the pupil center to outer_point
-
-
-def radial_extents(loc: IrisLocalization, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized r'(theta): distance from the pupil center to the iris
-    boundary along each ray."""
+def radial_extents(loc: IrisLocalization, thetas: np.ndarray | float) -> np.ndarray | float:
+    """r'(theta): distance from the pupil center to the iris boundary along
+    each ray, the positive root of the ray-circle equation (the
+    localization invariants guarantee it exists). A scalar angle gives a
+    scalar."""
     ux, uy = np.cos(thetas), np.sin(thetas)
     ex, ey = loc.offset
     eu = ex * ux + ey * uy
     return -eu + np.sqrt(eu * eu - (ex * ex + ey * ey) + loc.iris.r**2)
-
-
-def radial_extent(loc: IrisLocalization, theta: float) -> RadialSpan:
-    """Where the ray from the pupil center at angle theta meets both
-    boundaries. r_prime is the positive root of the ray-circle equation;
-    the localization invariants guarantee it exists."""
-    ux, uy = math.cos(theta), math.sin(theta)
-    ex, ey = loc.offset
-    eu = ex * ux + ey * uy
-    r_prime = -eu + math.sqrt(eu * eu - (ex * ex + ey * ey) + loc.iris.r**2)
-    px, py = loc.pupil.cx, loc.pupil.cy
-    return RadialSpan(
-        theta=theta,
-        inner_point=(px + loc.pupil.r * ux, py + loc.pupil.r * uy),
-        outer_point=(px + r_prime * ux, py + r_prime * uy),
-        r_prime=r_prime,
-    )
 
 
 def unwrap(
@@ -106,9 +81,7 @@ def unwrap(
         raise ValueError(f"angular_res must be >= 4, got {angular_res}")
     thetas = 2.0 * math.pi * np.arange(angular_res) / angular_res
     ux, uy = np.cos(thetas), np.sin(thetas)
-    ex, ey = loc.offset
-    eu = ex * ux + ey * uy
-    r_prime = -eu + np.sqrt(eu * eu - (ex * ex + ey * ey) + loc.iris.r**2)
+    r_prime = radial_extents(loc, thetas)
     fractions = (np.arange(radial_res) + 0.5) / radial_res
     # radius from the pupil center along each ray, (radial, angular)
     radii = loc.pupil.r + fractions[:, None] * (r_prime - loc.pupil.r)[None, :]
@@ -142,7 +115,10 @@ def load_template(path: str | Path) -> IrisTemplate:
     parts = data[:nl].decode("ascii", "replace").split()
     if len(parts) != 4 or parts[0] != "IRT1":
         raise FormatError(f"bad IRT1 header: {data[:nl]!r}")
-    radial_res, angular_res = int(parts[1]), int(parts[2])
+    try:
+        radial_res, angular_res = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"non-numeric IRT1 header field: {data[:nl]!r}") from None
     label = None if parts[3] == "-" else parts[3]
     body = data[nl + 1 :]
     expected = radial_res * angular_res * 8

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from irislam.imaging import GrayImage
+from irislam.imaging import GrayImage, save_gray_image
 from irislam.normalization import radial_extents
 from irislam.segmentation import Circle, IrisLocalization
 
@@ -226,3 +227,12 @@ def make_benchmark(
             )
             (train if idx < train_per_class else test).append(eye)
     return train, test
+
+
+def write_dataset(root: str | Path, eyes: list[LabeledEye]) -> None:
+    """Save each eye as root/classNNN/<name>.pgm, the directory layout
+    harness.index_dataset reads."""
+    for eye in eyes:
+        class_dir = Path(root) / f"class{eye.class_id:03d}"
+        class_dir.mkdir(parents=True, exist_ok=True)
+        save_gray_image(eye.image, class_dir / f"{eye.name}.pgm")

@@ -1,14 +1,6 @@
 import pytest
 
-from irislam.imaging import save_gray_image
-from irislam.synthdata import make_benchmark
-
-
-def write_dataset_tree(root, train, test):
-    for eye in train + test:
-        class_dir = root / f"class{eye.class_id:03d}"
-        class_dir.mkdir(parents=True, exist_ok=True)
-        save_gray_image(eye.image, class_dir / f"{eye.name}.pgm")
+from irislam.synthdata import make_benchmark, write_dataset
 
 
 @pytest.fixture(scope="session")
@@ -16,5 +8,5 @@ def small_dataset(tmp_path_factory):
     """3 classes x (3 train + 2 test) synthetic eyes on disk."""
     root = tmp_path_factory.mktemp("dataset")
     train, test = make_benchmark(3, 3, 2, seed=5)
-    write_dataset_tree(root, train, test)
+    write_dataset(root, train + test)
     return root

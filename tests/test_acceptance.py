@@ -25,23 +25,19 @@ from irislam.lamstar import (
     LamstarConfig,
     SomModule,
     classify,
-    effective_weight,
     load_model,
-    normalize_subword,
     som_present,
     train,
 )
 from irislam.lamstar import LamstarNetwork
-from irislam.normalization import IrisTemplate, radial_extent, unwrap
+from irislam.normalization import IrisTemplate, radial_extents, unwrap
 from irislam.segmentation import (
     Circle,
     IrisLocalization,
     hysteresis_threshold,
     localize_iris,
 )
-from irislam.synthdata import make_benchmark, render_eye
-
-from conftest import write_dataset_tree
+from irislam.synthdata import make_benchmark, render_eye, write_dataset
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -88,7 +84,7 @@ class TestGeometry:
         for _ in range(1000):
             loc = random_localization(rng)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            got = radial_extent(loc, theta).r_prime
+            got = radial_extents(loc, theta)
             worst = max(worst, abs(got - bisect_outer_radius(loc, theta)))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-9 and elapsed < 1.0
@@ -103,7 +99,7 @@ class TestGeometry:
                                    iris=Circle(160.0, 140.0, float(r1)))
             for j in range(360):
                 theta = 2.0 * math.pi * j / 360
-                if radial_extent(loc, theta).r_prime != loc.iris.r:
+                if radial_extents(loc, theta) != loc.iris.r:
                     exact = False
         verdict(2, exact, "concentric circles give r' == iris radius exactly, "
                           "360 angles x 6 radii")
@@ -159,15 +155,17 @@ class TestSomGate:
         ok = True
 
         for _ in range(4000):  # fixed point: presenting a stored vector is a no-op
-            s = normalize_subword(rng.normal(size=6))
-            module = SomModule(dim=6, weights=s.values[None, :].copy())
+            s = rng.normal(size=6)
+            s /= np.linalg.norm(s)
+            module = SomModule(dim=6, weights=s[None, :].copy())
             winner, created = som_present(module, s, cfg)
             ok &= winner == 0 and not created
-            ok &= float(np.abs(module.weights[0] - s.values).max()) <= 1e-12
+            ok &= float(np.abs(module.weights[0] - s).max()) <= 1e-12
 
         for _ in range(3000):  # growth bound: neurons <= distinct subwords
             p = int(rng.integers(1, 5))
-            pool = [normalize_subword(rng.normal(size=6)) for _ in range(p)]
+            pool = [rng.normal(size=6) for _ in range(p)]
+            pool = [s / np.linalg.norm(s) for s in pool]
             picks = rng.integers(0, p, size=6)
             module = SomModule(dim=6)
             for i in picks:
@@ -201,7 +199,7 @@ class TestSomGate:
             layer = DecisionLayer([1], num_classes=2)
             layer.weights[0, 0] = n * delta
             layer.reward_counts[0, 0] = n
-            ok &= effective_weight(layer, (0, 0, 0), normalized=True) == delta
+            ok &= layer.effective_matrix(True)[0, 0] == delta
         verdict(6, ok, "link rewarded n times (n in 1, 10, 1000), never punished: "
                        "normalized effective weight == delta exactly")
 
@@ -214,7 +212,7 @@ def benchmark_runs(tmp_path_factory):
     data = root / "eyes"
     data.mkdir()
     train_eyes, test_eyes = make_benchmark(16, 5, 3, seed=11)
-    write_dataset_tree(data, train_eyes, test_eyes)
+    write_dataset(data, train_eyes + test_eyes)
     cfg = HarnessConfig(train_per_class=5)
     index = index_dataset(data, cfg.train_per_class)
 
@@ -289,18 +287,20 @@ class TestScoreAudit:
             pred = classify(net, t, shift_range=2)
             shifted = np.roll(t.values, pred.shift, axis=1)
             rewalk = np.zeros(net.num_classes)
-            for m in range(net.num_modules):
-                sub = normalize_subword(shifted[:, m], m)
-                if sub.is_zero or net.modules[m].n_neurons == 0:
+            for m, module in enumerate(net.modules):
+                norm = np.linalg.norm(shifted[:, m])
+                if norm < 1e-12 or module.n_neurons == 0:
                     continue
-                dots = net.modules[m].weights @ sub.values
+                dots = module.weights @ (shifted[:, m] / norm)
                 winner = int(np.argmax(dots))
                 if dots[winner] < net.config.winner_threshold:
                     continue
+                gid = sum(k.n_neurons for k in net.modules[:m]) + winner
                 for c in range(net.num_classes):
-                    rewalk[c] += effective_weight(
-                        net.decision, (m, winner, c), net.config.normalized
-                    )
+                    w = net.decision.weights[gid, c]
+                    if net.config.normalized:
+                        w /= max(1, net.decision.reward_counts[gid, c])
+                    rewalk[c] += w
             worst = max(worst, float(np.abs(pred.scores - rewalk).max()))
         ok = worst <= 1e-12
         verdict(10, ok, f"100 classifications vs independent score re-walk, "

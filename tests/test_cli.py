@@ -118,6 +118,22 @@ class TestTrainEvalCompare:
                          "--out", str(tmp_path / "m.lns"))
         assert code == 2
 
+    @pytest.mark.parametrize("model_bytes", [
+        # non-numeric class count in the header
+        b"LNS1 480 20 two 0 0.05 0.95\n" + bytes(8),
+        # one module with one neuron, and a record for its neuron 5
+        b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little") + bytes(8)
+        + (0).to_bytes(4, "little") + (5).to_bytes(4, "little") + (0).to_bytes(4, "little")
+        + bytes(16) + (1).to_bytes(8, "little"),
+    ], ids=["non_numeric_header", "record_outside_network"])
+    def test_malformed_model_exits_2(self, capsys, synth_root, tmp_path, model_bytes):
+        model = tmp_path / "bad.lns"
+        model.write_bytes(model_bytes)
+        code, _, err = run(capsys, "eval", "--model", str(model),
+                           "--data", str(synth_root), "--train-per-class", "2")
+        assert code == 2
+        assert "data error" in err
+
 
 class TestConfigFile:
     def test_config_overrides(self, capsys, synth_root, tmp_path):

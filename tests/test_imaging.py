@@ -79,6 +79,12 @@ class TestLoadGrayImage:
         with pytest.raises(FormatError, match="65535"):
             load_gray_image(p)
 
+    def test_non_numeric_header_field_rejected(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n4 four\n255\n" + bytes(16))
+        with pytest.raises(FormatError):
+            load_gray_image(p)
+
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(5))

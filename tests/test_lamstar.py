@@ -10,79 +10,86 @@ from irislam.lamstar import (
     LamstarNetwork,
     SomModule,
     classify,
-    effective_weight,
     load_model,
-    normalize_subword,
     save_model,
     som_present,
-    template_to_subwords,
+    subword_matrix,
     train,
 )
 from irislam.normalization import IrisTemplate
 
 
+def unit(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x / np.linalg.norm(x)
+
+
 def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
-    """Independent re-walk of a frozen network: per module, recompute the
-    dot products, pick the winner, and sum effective link weights through
-    the public DecisionLayer API."""
+    """Independent re-walk of a frozen network: per module, normalize the
+    column, recompute the dot products, pick the winner, and sum its link
+    weights, divided by max(1, reward count) in the normalized variant."""
     scores = np.zeros(net.num_classes)
-    for m in range(net.num_modules):
-        sub = normalize_subword(t.values[:, m], m)
-        if sub.is_zero or net.modules[m].n_neurons == 0:
+    dec = net.decision
+    for m, module in enumerate(net.modules):
+        column = t.values[:, m]
+        norm = np.linalg.norm(column)
+        if norm < 1e-12 or module.n_neurons == 0:
             continue
-        dots = net.modules[m].weights @ sub.values
+        dots = module.weights @ (column / norm)
         winner = int(np.argmax(dots))
         if dots[winner] < net.config.winner_threshold:
             continue
+        gid = sum(k.n_neurons for k in net.modules[:m]) + winner
         for c in range(net.num_classes):
-            scores[c] += net.decision.effective_weight((m, winner, c), net.config.normalized)
+            w = dec.weights[gid, c]
+            if net.config.normalized:
+                w /= max(1, dec.reward_counts[gid, c])
+            scores[c] += w
     return scores
 
 
-class TestNormalizeSubword:
+class TestUnitColumns:
     def test_three_four_five(self):
-        s = normalize_subword(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(s.values, [0.6, 0.8])
-        assert not s.is_zero
+        cols, zero = subword_matrix(np.array([[3.0], [4.0]]))
+        np.testing.assert_allclose(cols, [[0.6, 0.8]])
+        assert not zero.any()
 
     def test_unit_vector_unchanged(self):
         v = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(normalize_subword(v).values, v, atol=1e-15)
+        cols, _ = subword_matrix(v[:, None])
+        np.testing.assert_allclose(cols[0], v, atol=1e-15)
 
     def test_zero_vector_flagged(self):
-        s = normalize_subword(np.zeros(4))
-        assert s.is_zero
-        np.testing.assert_array_equal(s.values, np.zeros(4))
+        cols, zero = subword_matrix(np.zeros((4, 1)))
+        assert zero.tolist() == [True]
+        np.testing.assert_array_equal(cols[0], np.zeros(4))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=20))
     def test_unit_norm_or_flagged(self, values):
-        s = normalize_subword(np.array(values))
-        if s.is_zero:
+        cols, zero = subword_matrix(np.array(values)[:, None])
+        if zero[0]:
             assert np.linalg.norm(values) < 1e-9
         else:
-            assert abs(np.linalg.norm(s.values) - 1.0) <= 1e-9
+            assert abs(np.linalg.norm(cols[0]) - 1.0) <= 1e-9
 
-
-class TestTemplateToSubwords:
     def test_full_size_template(self):
-        t = IrisTemplate(np.random.default_rng(0).random((20, 480)))
-        subs = template_to_subwords(t)
-        assert len(subs) == 480
-        assert all(s.values.shape == (20,) for s in subs)
-        assert [s.source_column for s in subs] == list(range(480))
+        vals = np.random.default_rng(0).random((20, 480))
+        cols, zero = subword_matrix(vals)
+        assert cols.shape == (480, 20) and zero.shape == (480,)
+        for j in (0, 1, 239, 479):  # row j is column j, in column order
+            np.testing.assert_allclose(cols[j], vals[:, j] / np.linalg.norm(vals[:, j]), atol=1e-15)
 
     def test_toy_template(self):
-        t = IrisTemplate(np.ones((2, 3)))
-        subs = template_to_subwords(t)
-        assert len(subs) == 3 and subs[0].values.shape == (2,)
+        cols, zero = subword_matrix(np.ones((2, 3)))
+        assert cols.shape == (3, 2) and not zero.any()
 
     def test_zero_column_flagged(self):
         vals = np.ones((4, 5))
         vals[:, 2] = 0.0
-        subs = template_to_subwords(IrisTemplate(vals))
-        assert subs[2].is_zero
-        assert all(not s.is_zero for i, s in enumerate(subs) if i != 2)
+        cols, zero = subword_matrix(vals)
+        assert zero.tolist() == [False, False, True, False, False]
+        np.testing.assert_array_equal(cols[2], np.zeros(4))
 
 
 class TestSomPresent:
@@ -90,37 +97,37 @@ class TestSomPresent:
 
     def test_first_pattern_creates_neuron(self):
         module = SomModule(dim=3)
-        winner, created = som_present(module, normalize_subword(np.array([1.0, 2.0, 2.0])), self.cfg)
+        winner, created = som_present(module, unit([1.0, 2.0, 2.0]), self.cfg)
         assert (winner, created) == (0, True)
         assert module.n_neurons == 1
 
     def test_same_pattern_reuses_neuron(self):
         module = SomModule(dim=3)
-        s = normalize_subword(np.array([1.0, 2.0, 2.0]))
+        s = unit([1.0, 2.0, 2.0])
         som_present(module, s, self.cfg)
         winner, created = som_present(module, s, self.cfg)
         assert (winner, created) == (0, False)
         assert module.n_neurons == 1
-        assert module.weights[0] @ s.values == pytest.approx(1.0, abs=1e-9)
+        assert module.weights[0] @ s == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_pattern_creates_new_neuron(self):
         module = SomModule(dim=2)
-        som_present(module, normalize_subword(np.array([1.0, 0.0])), self.cfg)
-        winner, created = som_present(module, normalize_subword(np.array([0.0, 1.0])), self.cfg)
+        som_present(module, unit([1.0, 0.0]), self.cfg)
+        winner, created = som_present(module, unit([0.0, 1.0]), self.cfg)
         assert (winner, created) == (1, True)
 
     def test_zero_subword_abstains(self):
         module = SomModule(dim=2)
-        winner, created = som_present(module, normalize_subword(np.zeros(2)), self.cfg)
+        winner, created = som_present(module, np.zeros(2), self.cfg)
         assert winner is None and not created
         assert module.n_neurons == 0
 
     def test_inference_mode_never_mutates(self):
         module = SomModule(dim=2)
-        som_present(module, normalize_subword(np.array([1.0, 0.0])), self.cfg)
+        som_present(module, unit([1.0, 0.0]), self.cfg)
         before = module.weights.copy()
         winner, created = som_present(
-            module, normalize_subword(np.array([0.0, 1.0])), self.cfg, learn=False
+            module, unit([0.0, 1.0]), self.cfg, learn=False
         )
         assert winner is None and not created
         np.testing.assert_array_equal(module.weights, before)
@@ -133,15 +140,15 @@ class TestSomPresent:
         for _ in range(200):
             module = SomModule(dim=6)
             w0 = rng.normal(size=6)
-            s = normalize_subword(rng.normal(size=6))
+            s = unit(rng.normal(size=6))
             module.weights = (w0 / np.linalg.norm(w0))[None, :]
-            gap0 = 1.0 - module.weights[0] @ s.values
+            gap0 = 1.0 - module.weights[0] @ s
             som_present(module, s, cfg)
-            gap1 = 1.0 - module.weights[0] @ s.values
+            gap1 = 1.0 - module.weights[0] @ s
             assert gap1 <= 0.2 * gap0 + 1e-12
 
     def test_fixed_point(self):
-        s = normalize_subword(np.array([0.3, -0.5, 0.8]))
+        s = unit([0.3, -0.5, 0.8])
         module = SomModule(dim=3)
         som_present(module, s, self.cfg)
         w_before = module.weights.copy()
@@ -171,11 +178,13 @@ class TestTrain:
         assert log.epochs_run == 2
         assert log.epoch_errors == [1, 0]
         delta = net.config.delta
+        eff = net.decision.effective_matrix(False)
         for m in range(2):
-            assert net.decision.effective_weight((m, 0, 0), False) == pytest.approx(2 * delta)
-            assert net.decision.effective_weight((m, 0, 1), False) == pytest.approx(-2 * delta)
-            assert net.decision.effective_weight((m, 1, 1), False) == pytest.approx(2 * delta)
-            assert net.decision.effective_weight((m, 1, 0), False) == pytest.approx(-2 * delta)
+            n0 = net.decision.offsets[m]  # global id of the module's neuron 0
+            assert eff[n0, 0] == pytest.approx(2 * delta)
+            assert eff[n0, 1] == pytest.approx(-2 * delta)
+            assert eff[n0 + 1, 1] == pytest.approx(2 * delta)
+            assert eff[n0 + 1, 0] == pytest.approx(-2 * delta)
         for t, label in zip(templates, labels):
             assert classify(net, t).class_index == label
 
@@ -290,6 +299,11 @@ class TestClassify:
             np.testing.assert_array_equal(before, m.weights)
         np.testing.assert_array_equal(decision_before, net.decision.weights)
 
+    def test_negative_shift_range_rejected(self):
+        net, templates, _ = self.trained_net()
+        with pytest.raises(ValueError, match="shift_range"):
+            classify(net, templates[0], shift_range=-1)
+
     def test_score_decomposition_rewalk(self):
         net, templates, _ = self.trained_net()
         rng = np.random.default_rng(9)
@@ -306,23 +320,31 @@ class TestEffectiveWeight:
             layer = DecisionLayer([1], num_classes=1)
             layer.weights[0, 0] = n * delta
             layer.reward_counts[0, 0] = n
-            assert effective_weight(layer, (0, 0, 0), True) == pytest.approx(delta)
+            assert layer.effective_matrix(True)[0, 0] == pytest.approx(delta)
 
     def test_untouched_key_is_zero(self):
         layer = DecisionLayer([2], num_classes=3)
-        assert effective_weight(layer, (0, 1, 2), True) == 0.0
-        assert effective_weight(layer, (0, 1, 2), False) == 0.0
+        layer.weights[0, 0] = 0.3
+        layer.reward_counts[0, 0] = 2
+        for normalized in (False, True):
+            eff = layer.effective_matrix(normalized)
+            assert eff[1, 2] == 0.0
+            assert np.count_nonzero(eff) == 1
 
     def test_missing_key_is_zero(self):
-        layer = DecisionLayer([2], num_classes=3)
-        assert effective_weight(layer, (0, 5, 0), True) == 0.0
+        # modules (2, 0, 1 neurons) own global rows 0-1 and 2; the empty
+        # module owns none, and a fresh layer reads 0 everywhere
+        layer = DecisionLayer([2, 0, 1], num_classes=3)
+        assert layer.offsets.tolist() == [0, 2, 2, 3]
+        for normalized in (False, True):
+            np.testing.assert_array_equal(layer.effective_matrix(normalized), np.zeros((3, 3)))
 
     def test_mixed_updates_divided_by_reward_count(self):
         layer = DecisionLayer([1], num_classes=1)
         layer.weights[0, 0] = 0.15
         layer.reward_counts[0, 0] = 3
-        assert effective_weight(layer, (0, 0, 0), True) == pytest.approx(0.05)
-        assert effective_weight(layer, (0, 0, 0), False) == pytest.approx(0.15)
+        assert layer.effective_matrix(True)[0, 0] == pytest.approx(0.05)
+        assert layer.effective_matrix(False)[0, 0] == pytest.approx(0.15)
 
 
 class TestModelFile:
@@ -369,5 +391,39 @@ class TestModelFile:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "m.lns"
         p.write_bytes(b"LNSX 1 1 1 0 0.05 0.95\n" + bytes(16))
+        with pytest.raises(FormatError):
+            load_model(p)
+
+    def toy_model_bytes(self, tmp_path) -> bytes:
+        templates, labels = toy_templates()
+        net = LamstarNetwork(2, 2, 2)
+        train(net, templates, labels)
+        save_model(net, tmp_path / "m.lns")
+        return (tmp_path / "m.lns").read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("module", 2), ("neuron", 2), ("cls", 2), ("rewards", 2**63),
+    ])
+    def test_record_out_of_range_rejected(self, tmp_path, field, value):
+        data = bytearray(self.toy_model_bytes(tmp_path))
+        # the toy network has 2 modules of 2 neurons and 2 classes; its
+        # records are the 28-byte entries before the 8-byte trailer
+        n_records = int.from_bytes(data[-8:], "little")
+        first = len(data) - 8 - 28 * n_records
+        offset, size = {"module": (0, 4), "neuron": (4, 4), "cls": (8, 4), "rewards": (20, 8)}[field]
+        data[first + offset : first + offset + size] = value.to_bytes(size, "little")
+        p = tmp_path / "bad.lns"
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="out of range"):
+            load_model(p)
+
+    @pytest.mark.parametrize("index, token", [(1, b"x"), (3, b"2.5"), (4, b"yes"), (6, b"high")])
+    def test_non_numeric_header_field_rejected(self, tmp_path, index, token):
+        data = self.toy_model_bytes(tmp_path)
+        nl = data.index(b"\n")
+        fields = data[:nl].split()
+        fields[index] = token
+        p = tmp_path / "bad.lns"
+        p.write_bytes(b" ".join(fields) + data[nl:])
         with pytest.raises(FormatError):
             load_model(p)

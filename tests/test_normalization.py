@@ -10,7 +10,7 @@ from irislam.imaging import GrayImage
 from irislam.normalization import (
     IrisTemplate,
     load_template,
-    radial_extent,
+    radial_extents,
     rotate_template,
     save_template,
     unwrap,
@@ -57,48 +57,53 @@ class TestRadialExtent:
     def test_concentric_equals_iris_radius(self):
         loc = IrisLocalization(pupil=Circle(0, 0, 30), iris=Circle(0, 0, 100))
         for theta in np.linspace(0, 2 * math.pi, 360, endpoint=False):
-            assert radial_extent(loc, theta).r_prime == pytest.approx(100.0, abs=1e-12)
+            assert radial_extents(loc, theta) == pytest.approx(100.0, abs=1e-12)
 
     def test_collinear_near_side(self):
         loc = IrisLocalization(pupil=Circle(10, 0, 5), iris=Circle(0, 0, 100))
-        assert radial_extent(loc, 0.0).r_prime == pytest.approx(90.0, abs=1e-9)
+        assert radial_extents(loc, 0.0) == pytest.approx(90.0, abs=1e-9)
 
     def test_collinear_far_side(self):
         loc = IrisLocalization(pupil=Circle(10, 0, 5), iris=Circle(0, 0, 100))
-        assert radial_extent(loc, math.pi).r_prime == pytest.approx(110.0, abs=1e-9)
+        assert radial_extents(loc, math.pi) == pytest.approx(110.0, abs=1e-9)
 
     def test_vertical_offset_handled(self):
         # offset along y exercises the atan2-style handling of ox = 0
         loc = IrisLocalization(pupil=Circle(0, 10, 5), iris=Circle(0, 0, 100))
-        assert radial_extent(loc, math.pi / 2).r_prime == pytest.approx(90.0, abs=1e-9)
+        assert radial_extents(loc, math.pi / 2) == pytest.approx(90.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(loc=localizations(), theta=st.floats(0, 2 * math.pi))
     def test_matches_bisection_oracle(self, loc, theta):
-        span = radial_extent(loc, theta)
-        assert span.r_prime == pytest.approx(bisect_ray_circle(loc, theta), abs=1e-9)
+        assert radial_extents(loc, theta) == pytest.approx(bisect_ray_circle(loc, theta), abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(loc=localizations(), theta=st.floats(0, 2 * math.pi))
     def test_span_fields_consistent(self, loc, theta):
-        span = radial_extent(loc, theta)
-        ix, iy = span.inner_point
-        assert math.hypot(ix - loc.pupil.cx, iy - loc.pupil.cy) == pytest.approx(
-            loc.pupil.r, abs=1e-9
-        )
-        ox_, oy_ = span.outer_point
+        # the ray's outer end lies on the iris circle, within |offset| of r1
+        r_prime = radial_extents(loc, theta)
+        ox_ = loc.pupil.cx + r_prime * math.cos(theta)
+        oy_ = loc.pupil.cy + r_prime * math.sin(theta)
         assert math.hypot(ox_ - loc.iris.cx, oy_ - loc.iris.cy) == pytest.approx(
             loc.iris.r, abs=1e-9
         )
         ex, ey = loc.offset
         d = math.hypot(ex, ey)
-        assert loc.iris.r - d - 1e-9 <= span.r_prime <= loc.iris.r + d + 1e-9
+        assert loc.iris.r - d - 1e-9 <= r_prime <= loc.iris.r + d + 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(loc=localizations())
+    def test_scalar_matches_vector(self, loc):
+        thetas = np.linspace(0.0, 2 * math.pi, 97)
+        vector = radial_extents(loc, thetas)
+        for theta, r_prime in zip(thetas, vector):
+            assert radial_extents(loc, float(theta)) == r_prime
 
     def test_periodicity(self):
         loc = IrisLocalization(pupil=Circle(5, -3, 20), iris=Circle(0, 0, 90))
         for theta in (0.1, 1.7, 4.4):
-            a = radial_extent(loc, theta).r_prime
-            b = radial_extent(loc, theta + 2 * math.pi).r_prime
+            a = radial_extents(loc, theta)
+            b = radial_extents(loc, theta + 2 * math.pi)
             assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -218,5 +223,11 @@ class TestTemplateFile:
     def test_short_body_rejected(self, tmp_path):
         p = tmp_path / "t.irt"
         p.write_bytes(b"IRT1 4 8 x\n" + bytes(100))
+        with pytest.raises(FormatError):
+            load_template(p)
+
+    def test_non_numeric_header_field_rejected(self, tmp_path):
+        p = tmp_path / "t.irt"
+        p.write_bytes(b"IRT1 4 eight x\n" + bytes(256))
         with pytest.raises(FormatError):
             load_template(p)

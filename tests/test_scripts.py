@@ -1,0 +1,24 @@
+"""Smoke test: the example scripts run end to end on a tiny dataset."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["run_benchmark.py", "rotation_experiment.py"])
+def test_script_runs(tmp_path, script):
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script),
+         "--classes", "2", "--train", "2", "--test", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "accuracy" in proc.stdout
