@@ -180,7 +180,7 @@ def _cmd_train(args) -> int:
     if args.train_per_class is not None:
         cfg = replace(cfg, train_per_class=args.train_per_class)
     index = index_dataset(args.data, cfg.train_per_class)
-    model_path, log = run_train(index, cfg, args.out, dataset_root=Path(args.data))
+    model_path, log = run_train(index, cfg, args.out)
     print(f"model written to {model_path}")
     print(f"epochs run: {log.epochs_run}, epoch errors: {log.epoch_errors}")
     print(f"train time: {log.train_seconds:.4f} s")
@@ -197,7 +197,7 @@ def _cmd_eval(args) -> int:
     if args.train_per_class is not None:
         cfg = replace(cfg, train_per_class=args.train_per_class)
     index = index_dataset(args.data, cfg.train_per_class)
-    report = run_eval(args.model, index, cfg, dataset_root=Path(args.data))
+    report = run_eval(args.model, index, cfg)
     if args.report:
         txt, kv = write_report(report, index.class_names, args.report)
         print(f"reports written to {txt} and {kv}")

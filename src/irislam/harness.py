@@ -49,6 +49,10 @@ class HarnessConfig:
     shift_range: int = 0
     cache_dir: str | None = None  # falls back to $IRISLAM_CACHE_DIR, then <root>/.template_cache
 
+    def __post_init__(self):
+        if self.shift_range < 0:
+            raise ConfigError(f"shift_range must be >= 0, got {self.shift_range}")
+
     def echo(self) -> dict[str, str]:
         """Flat key-value view of every resolved setting, for provenance."""
         out: dict[str, str] = {}
@@ -76,6 +80,7 @@ class DatasetEntry:
 
 @dataclass(frozen=True)
 class DatasetIndex:
+    root: Path  # dataset directory; the default template cache lives under it
     entries: list[DatasetEntry]
     class_names: list[str]
 
@@ -130,7 +135,7 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
             entries.append(DatasetEntry(f, class_id, "train" if i < train_per_class else "test"))
     if not class_names:
         raise DatasetError(f"no class directory under {root} has more than {train_per_class} images")
-    return DatasetIndex(entries=entries, class_names=class_names)
+    return DatasetIndex(root=root, entries=entries, class_names=class_names)
 
 
 def _resolve_cache_dir(cfg: HarnessConfig, fallback_root: Path) -> Path:
@@ -185,14 +190,12 @@ def run_train(
     index: DatasetIndex,
     cfg: HarnessConfig,
     model_path: str | Path,
-    dataset_root: Path | None = None,
 ) -> tuple[Path, TrainingLog]:
     """Build templates for the training split, train, persist the model."""
     train_entries = index.split("train")
     if not train_entries:
         raise DatasetError("index has no training entries")
-    root = dataset_root if dataset_root is not None else train_entries[0].path.parent.parent
-    cache_dir = _resolve_cache_dir(cfg, root)
+    cache_dir = _resolve_cache_dir(cfg, index.root)
     templates, labels, _ = _templates_for(train_entries, index, cfg, cache_dir)
     for class_id, name in enumerate(index.class_names):
         if class_id not in labels:
@@ -209,7 +212,6 @@ def run_eval(
     index: DatasetIndex,
     cfg: HarnessConfig,
     train_seconds: float = 0.0,
-    dataset_root: Path | None = None,
 ) -> EvalReport:
     """Classify every test entry and assemble the evaluation report."""
     net = load_model(model_path)
@@ -223,10 +225,7 @@ def run_eval(
             f"model has {net.num_classes} classes, dataset has {index.num_classes}"
         )
     test_entries = index.split("test")
-    root = dataset_root if dataset_root is not None else (
-        test_entries[0].path.parent.parent if test_entries else Path(".")
-    )
-    cache_dir = _resolve_cache_dir(cfg, root)
+    cache_dir = _resolve_cache_dir(cfg, index.root)
     templates, labels, failed = _templates_for(test_entries, index, cfg, cache_dir)
 
     n = index.num_classes

@@ -27,7 +27,7 @@ class GrayImage:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2:
             raise ValueError("pixels must be a 2-D array")
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
+        if self.pixels.size and not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
             raise ValueError("intensities must lie in [0, 1]")
 
     @property

@@ -348,8 +348,12 @@ def load_model(path: str | Path) -> LamstarNetwork:
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
     pos = nl + 1
     for m in net.modules:
+        if pos + 4 > len(data):
+            raise FormatError("LNS1 file truncated in the neuron blocks")
         n = int(np.frombuffer(data, dtype="<u4", count=1, offset=pos)[0])
         pos += 4
+        if pos + n * subword_dim * 8 > len(data):
+            raise FormatError("LNS1 file truncated in the neuron blocks")
         m.weights = (
             np.frombuffer(data, dtype="<f8", count=n * subword_dim, offset=pos)
             .reshape(n, subword_dim)

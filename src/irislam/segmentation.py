@@ -138,19 +138,6 @@ def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> E
     return EdgeMap(np.isin(labels, seed_labels))
 
 
-# Cached rFFTs of annulus voting kernels, keyed by (padded shape, r, kernel
-# radius). The same image geometry recurs for every frame of a dataset, so
-# this turns the per-radius kernel transform into a one-time cost.
-_KERNEL_FFT_CACHE: dict[tuple[tuple[int, int], int, int], np.ndarray] = {}
-
-
-def _annulus_kernel(r: int, radius: int) -> np.ndarray:
-    """(2*radius+1)^2 indicator of lattice offsets at rounded distance r."""
-    d = np.arange(-radius, radius + 1, dtype=np.float64)
-    dist = np.hypot(d[:, None], d[None, :])
-    return (np.rint(dist) == r).astype(np.float64)
-
-
 def circular_hough(
     edges: EdgeMap,
     r_min: int,
@@ -192,25 +179,26 @@ def circular_hough(
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     sh, sw = sub.shape
 
-    kr = r_max  # kernel half-size shared by all radii so one image FFT serves all
-    padded = (
-        sp_fft.next_fast_len(sh + 2 * kr),
-        sp_fft.next_fast_len(sw + 2 * kr),
-    )
+    # Pad by r_max, not by the full kernel width: circular wrap-around
+    # then lands only on output rows/columns below r_max, which the read
+    # window never touches, and kernel rows/columns that s=padded cuts off
+    # hold offsets at least as large as the crop, which no edge pixel in it
+    # can produce.
+    padded = (sp_fft.next_fast_len(sh + r_max), sp_fft.next_fast_len(sw + r_max))
     e_fft = sp_fft.rfft2(sub.astype(np.float64), s=padded)
+    d = np.arange(-r_max, r_max + 1, dtype=np.float64)
+    ring = np.rint(np.hypot(d[:, None], d[None, :]))  # rounded distance of each offset
+    window = (  # candidate-center box in padded output coordinates
+        slice(r_max + by0 - cy0, r_max + by1 - cy0 + 1),
+        slice(r_max + bx0 - cx0, r_max + bx1 - cx0 + 1),
+    )
 
     best_votes = 0
-    best: tuple[int, int, int] | None = None  # (r, cy, cx) in cropped coords
+    best: tuple[int, int, int] | None = None  # (r, cy, cx) in image coords
     for r in range(r_min, r_max + 1):
-        key = (padded, r, kr)
-        k_fft = _KERNEL_FFT_CACHE.get(key)
-        if k_fft is None:
-            k_fft = sp_fft.rfft2(_annulus_kernel(r, kr), s=padded)
-            _KERNEL_FFT_CACHE[key] = k_fft
+        k_fft = sp_fft.rfft2((ring == r).astype(np.float64), s=padded)
         conv = sp_fft.irfft2(e_fft * k_fft, s=padded)
-        votes = np.rint(
-            conv[kr + by0 - cy0 : kr + by1 - cy0 + 1, kr + bx0 - cx0 : kr + bx1 - cx0 + 1]
-        ).astype(np.int64)
+        votes = np.rint(conv[window]).astype(np.int64)
         peak = int(votes.max())
         if peak > best_votes:
             idx = int(np.argmax(votes))

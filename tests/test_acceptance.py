@@ -219,7 +219,7 @@ def benchmark_runs(tmp_path_factory):
     start = time.perf_counter()
     first = compare_variants(index, cfg, root / "run1")
     cfg8 = replace(cfg, shift_range=8)
-    shift8 = [run_eval(r.model_path, index, cfg8, dataset_root=data) for r in first]
+    shift8 = [run_eval(r.model_path, index, cfg8) for r in first]
     elapsed = time.perf_counter() - start
 
     second = compare_variants(index, cfg, root / "run2")

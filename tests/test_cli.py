@@ -1,9 +1,12 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from irislam.cli import main
 from irislam.imaging import load_gray_image
-from irislam.normalization import load_template
+from irislam.lamstar import LamstarNetwork, save_model, train
+from irislam.normalization import IrisTemplate, load_template
 
 
 def run(capsys, *argv):
@@ -125,7 +128,9 @@ class TestTrainEvalCompare:
         b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little") + bytes(8)
         + (0).to_bytes(4, "little") + (5).to_bytes(4, "little") + (0).to_bytes(4, "little")
         + bytes(16) + (1).to_bytes(8, "little"),
-    ], ids=["non_numeric_header", "record_outside_network"])
+        # one module claiming one neuron, cut inside its 8-byte weight block
+        b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little") + bytes(4),
+    ], ids=["non_numeric_header", "record_outside_network", "truncated_neuron_block"])
     def test_malformed_model_exits_2(self, capsys, synth_root, tmp_path, model_bytes):
         model = tmp_path / "bad.lns"
         model.write_bytes(model_bytes)
@@ -133,6 +138,19 @@ class TestTrainEvalCompare:
                            "--data", str(synth_root), "--train-per-class", "2")
         assert code == 2
         assert "data error" in err
+
+    def test_negative_shift_range_exits_3_before_segmenting(self, capsys, synth_root, tmp_path):
+        data = tmp_path / "eyes"
+        shutil.copytree(synth_root, data, ignore=shutil.ignore_patterns(".template_cache"))
+        rng = np.random.default_rng(3)
+        net = LamstarNetwork(480, 20, 2)
+        train(net, [IrisTemplate(rng.random((20, 480))) for _ in range(2)], [0, 1])
+        model = tmp_path / "m.lns"
+        save_model(net, model)
+        code, _, _ = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                         "--train-per-class", "2", "--shift-range", "-1")
+        assert code == 3
+        assert not (data / ".template_cache").exists()
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestRunTrain:
 
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex
-        index = DatasetIndex(entries=[], class_names=[])
+        index = DatasetIndex(root=tmp_path, entries=[], class_names=[])
         with pytest.raises(DatasetError):
             run_train(index, HarnessConfig(), tmp_path / "m.lns")
 
@@ -122,19 +123,15 @@ class TestRunEval:
     def test_memorization_on_train_split(self, trained, tmp_path):
         # evaluating the model on its own training images: accuracy 1.0
         root, index, cfg, model_path, _ = trained
-        from irislam.harness import DatasetEntry, DatasetIndex
-        flipped = DatasetIndex(
-            entries=[
-                DatasetEntry(e.path, e.class_id, "test" if e.split == "train" else "train")
-                for e in index.entries
-            ],
-            class_names=index.class_names,
-        )
+        from irislam.harness import DatasetEntry
+        flipped = replace(index, entries=[
+            DatasetEntry(e.path, e.class_id, "test" if e.split == "train" else "train")
+            for e in index.entries
+        ])
         report = run_eval(model_path, flipped, cfg)
         assert report.accuracy == 1.0
 
     def test_dimension_mismatch_rejected(self, trained):
-        from dataclasses import replace
         root, index, cfg, model_path, _ = trained
         bad = replace(cfg, radial_res=10)
         with pytest.raises(ConfigError):
@@ -142,11 +139,7 @@ class TestRunEval:
 
     def test_empty_test_set_flagged(self, trained):
         root, index, cfg, model_path, _ = trained
-        from irislam.harness import DatasetIndex
-        no_test = DatasetIndex(
-            entries=[e for e in index.entries if e.split == "train"],
-            class_names=index.class_names,
-        )
+        no_test = replace(index, entries=[e for e in index.entries if e.split == "train"])
         report = run_eval(model_path, no_test, cfg)
         assert not report.accuracy_defined
         assert math.isnan(report.accuracy)

@@ -241,5 +241,6 @@ class TestWeightVerticalGradient:
                 weight_vertical_gradient(field, w)
 
     def test_intensity_range_validated(self):
-        with pytest.raises(ValueError):
-            GrayImage(np.array([[0.0, 1.5]]))
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                GrayImage(np.array([[0.0, bad]]))

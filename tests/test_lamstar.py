@@ -417,6 +417,16 @@ class TestModelFile:
         with pytest.raises(FormatError, match="out of range"):
             load_model(p)
 
+    def test_truncated_neuron_block_rejected(self, tmp_path):
+        data = self.toy_model_bytes(tmp_path)
+        n_records = int.from_bytes(data[-8:], "little")
+        blocks_end = len(data) - 8 - 28 * n_records
+        p = tmp_path / "cut.lns"
+        for cut in range(data.index(b"\n") + 1, blocks_end):
+            p.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                load_model(p)
+
     @pytest.mark.parametrize("index, token", [(1, b"x"), (3, b"2.5"), (4, b"yes"), (6, b"high")])
     def test_non_numeric_header_field_rejected(self, tmp_path, index, token):
         data = self.toy_model_bytes(tmp_path)

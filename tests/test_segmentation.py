@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,12 +203,14 @@ class TestCircularHough:
         assert fraction >= 0.9
 
     def test_matches_brute_accumulator(self):
-        edges = rasterize_circle(60, 60, 30, 28, 14)
-        edges |= rasterize_circle(60, 60, 22, 35, 9)
-        circle, fraction = circular_hough(EdgeMap(edges), 8, 16)
-        votes, (cx, cy, r) = brute_hough(edges, 8, 16)
-        assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
-        assert fraction == pytest.approx(min(1.0, votes / (2 * math.pi * r)))
+        two_circles = rasterize_circle(60, 60, 30, 28, 14) | rasterize_circle(60, 60, 22, 35, 9)
+        # fewer rows than r_max + 1: the FFT grid cuts off part of the kernel
+        short = rasterize_circle(12, 70, 35, 5, 20) | rasterize_circle(12, 70, 20, 3, 9)
+        for edges, r_min, r_max in ((two_circles, 8, 16), (short, 8, 25)):
+            circle, fraction = circular_hough(EdgeMap(edges), r_min, r_max)
+            votes, (cx, cy, r) = brute_hough(edges, r_min, r_max)
+            assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+            assert fraction == pytest.approx(min(1.0, votes / (2 * math.pi * r)))
 
     def test_occluded_arc_recovered(self):
         # 25% of the circle removed; center and radius still found
@@ -240,12 +243,15 @@ class TestCircularHough:
         assert (circle.cx, circle.cy) == (70, 70)
 
     def test_center_search_matches_brute(self):
-        edges = rasterize_circle(70, 70, 30, 30, 12)
-        edges |= rasterize_circle(70, 70, 45, 40, 12)
-        box = (35, 55, 30, 50)
-        circle, _ = circular_hough(EdgeMap(edges), 8, 16, center_search=box)
-        votes, (cx, cy, r) = brute_hough(edges, 8, 16, center_box=box)
-        assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+        two_circles = rasterize_circle(70, 70, 30, 30, 12) | rasterize_circle(70, 70, 45, 40, 12)
+        short = rasterize_circle(12, 70, 35, 5, 20) | rasterize_circle(12, 70, 20, 3, 9)
+        for edges, r_min, r_max, box in (
+            (two_circles, 8, 16, (35, 55, 30, 50)),
+            (short, 8, 25, (15, 45, 2, 9)),
+        ):
+            circle, _ = circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
+            votes, (cx, cy, r) = brute_hough(edges, r_min, r_max, center_box=box)
+            assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
 
     def test_empty_edge_map_rejected(self):
         with pytest.raises(LocalizationError, match="no boundary"):
@@ -281,6 +287,21 @@ class TestLocalizeIris:
         assert abs(loc.iris.cx - 160) <= 2 and abs(loc.iris.cy - 140) <= 2
         ox, oy = loc.offset
         assert abs(ox - 8) <= 2 and abs(oy - 0) <= 2
+
+    def test_keeps_no_memory_between_calls(self):
+        spec = SyntheticEyeSpec(
+            width=330, height=290,
+            pupil=Circle(165, 145, 32), iris=Circle(165, 145, 112),
+            texture_seed=14, class_id=3,
+        )
+        img = render_eye(spec)
+        tracemalloc.start()
+        try:
+            localize_iris(img)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 5 * 2**20
 
     def test_blank_image_fails(self):
         img = GrayImage(np.full((280, 320), 0.5))
