@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 processing error.
 Config files are flat `key = value` text; keys match HarnessConfig.echo()
-names (e.g. localization.sigma, lamstar.delta, shift_range).
+names (e.g. localization.sigma, lamstar.delta, shift_range). Each override
+flag sets the config key it names and wins over the file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,8 @@ from irislam.harness import (
     write_report,
 )
 from irislam.imaging import GrayImage, load_gray_image, save_gray_image
-from irislam.lamstar import LamstarConfig
 from irislam.normalization import save_template, unwrap
-from irislam.segmentation import Circle, IrisLocalization, LocalizationConfig, localize_iris
+from irislam.segmentation import Circle, IrisLocalization, localize_iris
 from irislam.synthdata import make_benchmark, write_dataset
 
 EXIT_OK = 0
@@ -69,46 +68,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(value: str, target_type: type):
-    if target_type is bool:
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {value!r}")
-    return target_type(value)
-
-
-def _apply_config(cfg: HarnessConfig, values: dict[str, str]) -> HarnessConfig:
-    loc_fields = {f.name: f.type for f in fields(LocalizationConfig)}
-    lam_fields = {f.name: f.type for f in fields(LamstarConfig)}
-    top_fields = {f.name: f.type for f in fields(HarnessConfig)}
-    loc, lam = cfg.localization, cfg.lamstar
-    top: dict[str, object] = {}
-    types = {"float": float, "int": int, "bool": bool, "str": str, "str | None": str}
-    for key, value in values.items():
-        if key.startswith("localization."):
-            name = key.removeprefix("localization.")
-            if name not in loc_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            loc = replace(loc, **{name: _coerce(value, types[loc_fields[name]])})
-        elif key.startswith("lamstar."):
-            name = key.removeprefix("lamstar.")
-            if name not in lam_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            lam = replace(lam, **{name: _coerce(value, types[lam_fields[name]])})
-        else:
-            if key not in top_fields or key in ("localization", "lamstar"):
-                raise ConfigError(f"unknown config key {key!r}")
-            top[key] = _coerce(value, types[top_fields[key]])
-    return replace(cfg, localization=loc, lamstar=lam, **top)
-
-
 def _load_harness_config(args) -> HarnessConfig:
-    cfg = HarnessConfig()
-    if getattr(args, "config", None):
-        cfg = _apply_config(cfg, _parse_config_file(args.config))
-    return cfg
+    """Defaults, then the --config file, then the override flags given;
+    an override flag's dest is the config key it sets."""
+    settings = _parse_config_file(args.config) if args.config else {}
+    keys = HarnessConfig().echo()
+    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    return HarnessConfig().with_settings(settings)
 
 
 def _draw_circle(pixels: np.ndarray, circle: Circle, value: float = 1.0) -> None:
@@ -169,16 +135,6 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_harness_config(args)
-    lam = cfg.lamstar
-    if args.normalized:
-        lam = replace(lam, normalized=True)
-    if args.epochs is not None:
-        lam = replace(lam, epochs=args.epochs)
-    if args.delta is not None:
-        lam = replace(lam, delta=args.delta)
-    cfg = replace(cfg, lamstar=lam)
-    if args.train_per_class is not None:
-        cfg = replace(cfg, train_per_class=args.train_per_class)
     index = index_dataset(args.data, cfg.train_per_class)
     model_path, log = run_train(index, cfg, args.out)
     print(f"model written to {model_path}")
@@ -192,10 +148,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_harness_config(args)
-    if args.shift_range is not None:
-        cfg = replace(cfg, shift_range=args.shift_range)
-    if args.train_per_class is not None:
-        cfg = replace(cfg, train_per_class=args.train_per_class)
     index = index_dataset(args.data, cfg.train_per_class)
     report = run_eval(args.model, index, cfg)
     if args.report:
@@ -210,10 +162,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_harness_config(args)
-    if args.shift_range is not None:
-        cfg = replace(cfg, shift_range=args.shift_range)
-    if args.train_per_class is not None:
-        cfg = replace(cfg, train_per_class=args.train_per_class)
     index = index_dataset(args.data, cfg.train_per_class)
     results = compare_variants(index, cfg, args.out_dir)
     print(format_comparison(results), end="")
@@ -252,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file (.lns)")
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--normalized", action="store_const", const=True, dest="lamstar.normalized")
+    p.add_argument("--epochs", type=int, dest="lamstar.epochs")
+    p.add_argument("--delta", type=float, dest="lamstar.delta")
     p.add_argument("--train-per-class", type=int, dest="train_per_class")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_train)

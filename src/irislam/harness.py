@@ -10,13 +10,15 @@ second classifier variant never recomputes them.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import logging
 import math
-import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -36,7 +38,30 @@ from irislam.segmentation import LocalizationConfig, localize_iris
 
 logger = logging.getLogger(__name__)
 
-CACHE_ENV_VAR = "IRISLAM_CACHE_DIR"
+_SECTIONS = ("localization", "lamstar")  # nested configs, echoed as "<section>.<field>"
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_setting(key: str, text: str, kind: object):
+    """Parse one flat-config value as the field's type; str | None fields
+    read `None` as None and a quoted literal (as echoed) as its string."""
+    try:
+        if kind is bool:
+            return _BOOLEANS[text.lower()]
+        if kind in (int, float):
+            return kind(text)
+        if text == "None":
+            return None
+        if text[:1] in ("'", '"'):
+            value = ast.literal_eval(text)
+            if not isinstance(value, str):
+                raise ValueError(text)
+            return value
+        return text
+    except (KeyError, ValueError, SyntaxError):
+        raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -47,21 +72,51 @@ class HarnessConfig:
     lamstar: LamstarConfig = LamstarConfig()
     train_per_class: int = 5
     shift_range: int = 0
-    cache_dir: str | None = None  # falls back to $IRISLAM_CACHE_DIR, then <root>/.template_cache
+    cache_dir: str | None = None  # None: <dataset root>/.template_cache
 
     def __post_init__(self):
-        if self.shift_range < 0:
-            raise ConfigError(f"shift_range must be >= 0, got {self.shift_range}")
+        for key, value, low in (
+            ("shift_range", self.shift_range, 0),
+            ("train_per_class", self.train_per_class, 1),
+            ("radial_res", self.radial_res, 2),
+            ("angular_res", self.angular_res, 4),
+            ("lamstar.epochs", self.lamstar.epochs, 1),
+        ):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not self.lamstar.delta > 0:
+            raise ConfigError(f"lamstar.delta must be > 0, got {self.lamstar.delta}")
+
+    def _parts(self) -> dict[str, object]:
+        """The config objects behind the flat keys, by key prefix."""
+        return {"": self, **{f"{s}.": getattr(self, s) for s in _SECTIONS}}
 
     def echo(self) -> dict[str, str]:
         """Flat key-value view of every resolved setting, for provenance."""
         out: dict[str, str] = {}
-        for prefix, obj in (("", self), ("localization.", self.localization), ("lamstar.", self.lamstar)):
+        for prefix, obj in self._parts().items():
             for name, value in vars(obj).items():
-                if name in ("localization", "lamstar"):
-                    continue
-                out[prefix + name] = repr(value)
+                if name not in _SECTIONS:
+                    out[prefix + name] = repr(value)
         return dict(sorted(out.items()))
+
+    def with_settings(self, settings: Mapping[str, object]) -> HarnessConfig:
+        """A copy with flat `key: value` settings applied under the names
+        echo() produces; each value is parsed from its string form as the
+        field's type, so HarnessConfig().with_settings(cfg.echo()) == cfg.
+        An unknown key or an unparseable value raises ConfigError naming
+        the key; an out-of-range value raises it from __post_init__."""
+        parts = self._parts()
+        changes: dict[str, dict[str, object]] = {prefix: {} for prefix in parts}
+        for key, value in settings.items():
+            cut = key.rfind(".") + 1
+            prefix, name = key[:cut], key[cut:]
+            kinds = get_type_hints(type(parts[prefix])) if prefix in parts else {}
+            if name not in kinds or name in _SECTIONS:
+                raise ConfigError(f"unknown config key {key!r}")
+            changes[prefix][name] = _parse_setting(key, str(value), kinds[name])
+        nested = {s: replace(parts[f"{s}."], **changes[f"{s}."]) for s in _SECTIONS}
+        return replace(self, **nested, **changes[""])
 
     def template_digest(self) -> str:
         """Digest of everything that affects template content."""
@@ -112,7 +167,8 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
     """Index <root>/<class>/<image>.pgm with a sorted-order train/test split.
 
     Classes with fewer than train_per_class + 1 images are skipped with a
-    warning (no test remainder would exist).
+    warning (no test remainder would exist). Directories whose names start
+    with a dot, such as the default template cache, are not classes.
     """
     root = Path(root)
     if not root.is_dir():
@@ -121,7 +177,8 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
         raise ValueError("train_per_class must be positive")
     entries: list[DatasetEntry] = []
     class_names: list[str] = []
-    for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    class_dirs = (p for p in root.iterdir() if p.is_dir() and not p.name.startswith("."))
+    for class_dir in sorted(class_dirs):
         files = sorted(class_dir.glob("*.pgm"))
         if len(files) < train_per_class + 1:
             logger.warning(
@@ -139,12 +196,7 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
 
 
 def _resolve_cache_dir(cfg: HarnessConfig, fallback_root: Path) -> Path:
-    if cfg.cache_dir:
-        return Path(cfg.cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return fallback_root / ".template_cache"
+    return Path(cfg.cache_dir) if cfg.cache_dir else fallback_root / ".template_cache"
 
 
 def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate:

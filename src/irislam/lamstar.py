@@ -34,7 +34,6 @@ class LamstarConfig:
     delta: float = 0.05  # reward/punishment increment
     normalized: bool = False  # divide link weights by reward counts when scoring
     epochs: int = 10
-    error_driven: bool = False  # update a link only when its class sum has the wrong sign
 
 
 @dataclass(eq=False)
@@ -236,20 +235,9 @@ def train(
             if int(np.argmax(scores)) != label:
                 errors += 1
             if active.size:
-                if cfg.error_driven:
-                    # Reward the true class only while its sum is not yet
-                    # positive; punish a false class only while its sum is.
-                    if scores[label] <= 0:
-                        weights[active, label] += delta
-                        counts[active, label] += 1
-                    wrong = np.flatnonzero(scores > 0)
-                    wrong = wrong[wrong != label]
-                    for c in wrong:
-                        weights[active, c] -= delta
-                else:
-                    weights[active, :] -= delta
-                    weights[active, label] += 2 * delta
-                    counts[active, label] += 1
+                weights[active, :] -= delta
+                weights[active, label] += 2 * delta
+                counts[active, label] += 1
         epoch_errors.append(errors)
         epochs_run += 1
         if errors == 0:
@@ -345,6 +333,10 @@ def load_model(path: str | Path) -> LamstarNetwork:
                             winner_threshold=float(parts[6]))
     except ValueError:
         raise FormatError(f"non-numeric LNS1 header field: {data[:nl]!r}") from None
+    if min(num_modules, subword_dim, num_classes) < 1:
+        raise FormatError(f"LNS1 header count below 1: {data[:nl]!r}")
+    if 4 * num_modules > len(data) - nl - 1:  # each module needs its neuron count
+        raise FormatError(f"LNS1 file truncated: too short for {num_modules} modules")
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
     pos = nl + 1
     for m in net.modules:

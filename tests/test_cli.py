@@ -130,7 +130,12 @@ class TestTrainEvalCompare:
         + bytes(16) + (1).to_bytes(8, "little"),
         # one module claiming one neuron, cut inside its 8-byte weight block
         b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little") + bytes(4),
-    ], ids=["non_numeric_header", "record_outside_network", "truncated_neuron_block"])
+        # no modules
+        b"LNS1 0 20 2 0 0.05 0.95\n" + bytes(8),
+        # more modules than the 8 bytes after the header can hold counts for
+        b"LNS1 4096 20 2 0 0.05 0.95\n" + bytes(8),
+    ], ids=["non_numeric_header", "record_outside_network", "truncated_neuron_block",
+            "zero_module_count", "module_count_exceeds_file"])
     def test_malformed_model_exits_2(self, capsys, synth_root, tmp_path, model_bytes):
         model = tmp_path / "bad.lns"
         model.write_bytes(model_bytes)
@@ -151,6 +156,15 @@ class TestTrainEvalCompare:
                          "--train-per-class", "2", "--shift-range", "-1")
         assert code == 3
         assert not (data / ".template_cache").exists()
+        cfg = tmp_path / "cfg.txt"
+        for setting in ("lamstar.epochs = 0", "lamstar.delta = 0", "radial_res = 1",
+                        "angular_res = 3", "train_per_class = 0", "lamstar.delta = nan"):
+            cfg.write_text(setting + "\n")
+            code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                               "--config", str(cfg))
+            assert code == 3, setting
+            assert setting.split()[0] in err
+            assert not (data / ".template_cache").exists()
 
 
 class TestConfigFile:
@@ -167,6 +181,42 @@ class TestConfigFile:
                          "--out", str(model), "--train-per-class", "2",
                          "--config", str(cfg))
         assert code == 0
+
+    def test_flags_set_the_keys_they_name(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("lamstar.epochs = 2\nlamstar.delta = 0.1\nlamstar.normalized = True\n")
+        models = tmp_path / "by_flags.lns", tmp_path / "by_file.lns"
+        for model, extra in zip(models, (["--epochs", "2", "--delta", "0.1", "--normalized"],
+                                         ["--config", str(cfg)])):
+            code, _, _ = run(capsys, "train", "--data", str(synth_root), "--out", str(model),
+                             "--train-per-class", "2", *extra)
+            assert code == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        assert models[0].read_bytes().startswith(b"LNS1 480 20 2 1 0.1 ")
+
+    def test_flag_overrides_config_file(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("shift_range = 1\ntrain_per_class = 2\nlamstar.normalized = True\n")
+        model = tmp_path / "m.lns"
+        code, _, _ = run(capsys, "train", "--data", str(synth_root), "--out", str(model),
+                         "--config", str(cfg), "--epochs", "3")
+        assert code == 0
+        assert model.read_bytes().startswith(b"LNS1 480 20 2 1 ")  # file's normalized kept
+        report = tmp_path / "report"
+        code, _, _ = run(capsys, "eval", "--model", str(model), "--data", str(synth_root),
+                         "--config", str(cfg), "--shift-range", "3", "--report", str(report))
+        assert code == 0
+        kv = report.with_suffix(".kv").read_text()
+        assert "config.shift_range = 3\n" in kv
+        assert "config.train_per_class = 2\n" in kv
+
+    def test_unparseable_value_exits_3(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("lamstar.epochs = two\n")
+        code, _, err = run(capsys, "train", "--data", str(synth_root),
+                           "--out", str(tmp_path / "m.lns"), "--config", str(cfg))
+        assert code == 3
+        assert "lamstar.epochs" in err
 
     def test_unknown_key_exits_3(self, capsys, synth_root, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from irislam.errors import ConfigError, DatasetError
 from irislam.harness import (
@@ -16,6 +19,8 @@ from irislam.harness import (
     write_report,
 )
 from irislam.imaging import GrayImage, save_gray_image
+from irislam.lamstar import LamstarConfig
+from irislam.segmentation import LocalizationConfig
 
 
 def make_empty_pgm_tree(root, layout):
@@ -98,6 +103,14 @@ class TestRunTrain:
         index = DatasetIndex(root=tmp_path, entries=[], class_names=[])
         with pytest.raises(DatasetError):
             run_train(index, HarnessConfig(), tmp_path / "m.lns")
+
+    def test_template_cache_is_not_a_class(self, small_dataset, tmp_path, caplog):
+        cfg = HarnessConfig(train_per_class=3)
+        with caplog.at_level("WARNING"):
+            for name in ("first.lns", "second.lns"):
+                run_train(index_dataset(small_dataset, cfg.train_per_class), cfg, tmp_path / name)
+        assert (small_dataset / ".template_cache").is_dir()
+        assert ".template_cache" not in caplog.text
 
     def test_unsegmentable_class_is_error(self, tmp_path):
         make_empty_pgm_tree(tmp_path / "data", {"flat": 4})
@@ -193,3 +206,48 @@ class TestCompareVariants:
         results = compare_variants(index, cfg, tmp_path / "cmp")
         assert results[0].report.config_echo["lamstar.normalized"] == "False"
         assert results[1].report.config_echo["lamstar.normalized"] == "True"
+
+
+# Every int field has a lower bound of at most 4 and lamstar.delta must be
+# positive, so these draws are all valid configurations.
+_FIELD_VALUES = {
+    int: st.integers(4, 10**6),
+    float: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    bool: st.booleans(),
+}
+
+
+def _configs(cls, **nested):
+    kinds = get_type_hints(cls)
+    return st.builds(cls, **{name: _FIELD_VALUES[kinds[name]]
+                             for name in kinds if kinds[name] in _FIELD_VALUES}, **nested)
+
+
+class TestFlatSettings:
+    @given(_configs(HarnessConfig, localization=_configs(LocalizationConfig),
+                    lamstar=_configs(LamstarConfig), cache_dir=st.none() | st.text()))
+    @example(HarnessConfig())
+    @example(HarnessConfig(cache_dir="templates/cache"))
+    def test_echo_round_trip(self, cfg):
+        assert HarnessConfig().with_settings(cfg.echo()) == cfg
+
+    def test_plain_values_parse_as_field_types(self):
+        cfg = HarnessConfig().with_settings({
+            "lamstar.epochs": "3", "lamstar.normalized": "yes", "localization.sigma": 1.5,
+            "cache_dir": "/data/cache", "shift_range": 2,
+        })
+        assert cfg == HarnessConfig(
+            lamstar=LamstarConfig(epochs=3, normalized=True),
+            localization=LocalizationConfig(sigma=1.5),
+            cache_dir="/data/cache", shift_range=2,
+        )
+        assert HarnessConfig(cache_dir="x").with_settings({"cache_dir": "None"}).cache_dir is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("lamstar.epochs", "two"), ("lamstar.normalized", "maybe"), ("shift_range", "1.5"),
+        ("cache_dir", "'unterminated"), ("lamstar.bogus", "1"), ("localization", "1"),
+        ("lamstar", "1"), ("nested.lamstar.epochs", "1"),
+    ])
+    def test_bad_setting_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            HarnessConfig().with_settings({key: value})

@@ -427,6 +427,20 @@ class TestModelFile:
             with pytest.raises(FormatError, match="truncated"):
                 load_model(p)
 
+    @pytest.mark.parametrize("header", [
+        b"LNS1 0 20 2 0 0.05 0.95", b"LNS1 1 0 2 0 0.05 0.95", b"LNS1 1 1 -1 0 0.05 0.95",
+        b"LNS1 1000000000 20 2 0 0.05 0.95",
+    ], ids=["zero_modules", "zero_dim", "negative_classes", "modules_exceed_file"])
+    def test_bad_header_count_rejected_before_building(self, tmp_path, monkeypatch, header):
+        def no_module(*args, **kwargs):
+            raise AssertionError("SomModule built for a file that must be rejected")
+
+        monkeypatch.setattr("irislam.lamstar.SomModule", no_module)
+        p = tmp_path / "bad.lns"
+        p.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(FormatError):
+            load_model(p)
+
     @pytest.mark.parametrize("index, token", [(1, b"x"), (3, b"2.5"), (4, b"yes"), (6, b"high")])
     def test_non_numeric_header_field_rejected(self, tmp_path, index, token):
         data = self.toy_model_bytes(tmp_path)

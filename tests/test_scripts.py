@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["run_benchmark.py", "rotation_experiment.py"])
+@pytest.mark.parametrize("script", ["rotation_experiment.py"])
 def test_script_runs(tmp_path, script):
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
