@@ -127,9 +127,9 @@ def _cmd_normalize(args) -> int:
     loc = _parse_loc(args.loc)
     if loc is None:
         loc = localize_iris(img, cfg.localization)
-    template = unwrap(img, loc, args.radial, args.angular, label=args.label)
+    template = unwrap(img, loc, cfg.radial_res, cfg.angular_res, label=args.label)
     save_template(template, args.out)
-    print(f"template {args.radial}x{args.angular} written to {args.out}")
+    print(f"template {cfg.radial_res}x{cfg.angular_res} written to {args.out}")
     return EXIT_OK
 
 
@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--loc", default="auto", help="'auto' or pcx,pcy,pr,icx,icy,ir")
     p.add_argument("--out", required=True)
-    p.add_argument("--radial", type=int, default=20)
-    p.add_argument("--angular", type=int, default=480)
+    p.add_argument("--radial", type=int, dest="radial_res")
+    p.add_argument("--angular", type=int, dest="angular_res")
     p.add_argument("--label", default=None)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_normalize)

@@ -114,12 +114,12 @@ class DecisionLayer:
         self.weights = np.zeros((total, num_classes), dtype=np.float64)
         self.reward_counts = np.zeros((total, num_classes), dtype=np.int64)
 
-    def effective_matrix(self, normalized: bool) -> np.ndarray:
-        """Link weights by (global neuron, class); the normalized variant
-        divides each by its reward count (at least 1)."""
+    def effective_matrix(self, normalized: bool, rows=slice(None)) -> np.ndarray:
+        """Link weights of the given global neuron rows by class; the
+        normalized variant divides each by its reward count (at least 1)."""
         if normalized:
-            return self.weights / np.maximum(1, self.reward_counts)
-        return self.weights
+            return self.weights[rows] / np.maximum(1, self.reward_counts[rows])
+        return self.weights[rows]
 
 
 @dataclass
@@ -172,11 +172,12 @@ class LamstarNetwork:
         self._packed, self._valid = packed, valid
 
     def _find_winners(self, subwords: np.ndarray, zero: np.ndarray) -> np.ndarray:
-        """Global neuron id of the winner per module, -1 for abstentions."""
-        dots = np.einsum("mnd,md->mn", self._packed, subwords)
-        dots[~self._valid] = -np.inf
-        winner = np.argmax(dots, axis=1)
-        best = dots[np.arange(self.num_modules), winner]
+        """Global neuron id of the winner per module, -1 for abstentions.
+        subwords is (..., num_modules, dim) and zero (..., num_modules)."""
+        dots = np.einsum("mnd,...md->...mn", self._packed, subwords)
+        dots[..., ~self._valid] = -np.inf
+        winner = np.argmax(dots, axis=-1)
+        best = np.take_along_axis(dots, winner[..., None], axis=-1)[..., 0]
         ok = (best >= self.config.winner_threshold) & ~zero
         gids = self.decision.offsets[:-1] + winner
         return np.where(ok, gids, -1)
@@ -216,36 +217,25 @@ def train(
     # Winners are fixed once the SOM phase ends; resolve them once.
     winners = [net._find_winners(cols, zero) for cols, zero in columns]
 
-    delta = cfg.delta
-    weights = net.decision.weights
-    counts = net.decision.reward_counts
+    dec = net.decision
     epoch_errors: list[int] = []
-    epochs_run = 0
     for _ in range(cfg.epochs):
         errors = 0
         for gids, label in zip(winners, labels):
+            # With every module abstaining, the empty gather scores zeros.
             active = gids[gids >= 0]
-            if active.size:
-                eff = weights[active]
-                if cfg.normalized:
-                    eff = eff / np.maximum(1, counts[active])
-                scores = eff.sum(axis=0)
-            else:
-                scores = np.zeros(net.num_classes)
-            if int(np.argmax(scores)) != label:
-                errors += 1
-            if active.size:
-                weights[active, :] -= delta
-                weights[active, label] += 2 * delta
-                counts[active, label] += 1
+            scores = dec.effective_matrix(cfg.normalized, active).sum(axis=0)
+            errors += int(np.argmax(scores)) != label
+            dec.weights[active, :] -= cfg.delta
+            dec.weights[active, label] += 2 * cfg.delta
+            dec.reward_counts[active, label] += 1
         epoch_errors.append(errors)
-        epochs_run += 1
         if errors == 0:
             break
 
     return TrainingLog(
         neuron_counts=[m.n_neurons for m in net.modules],
-        epochs_run=epochs_run,
+        epochs_run=len(epoch_errors),
         epoch_errors=epoch_errors,
         train_seconds=time.perf_counter() - start,
     )
@@ -265,19 +255,17 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
         raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
     eff = net.decision.effective_matrix(net.config.normalized)
-    best_scores = None
-    best_top = -np.inf
-    best_shift = 0
-    for shift in range(-shift_range, shift_range + 1):
-        vals = np.roll(t.values, shift, axis=1) if shift else t.values
-        cols, zero = subword_matrix(vals)
-        gids = net._find_winners(cols, zero)
-        active = gids[gids >= 0]
-        scores = eff[active].sum(axis=0) if active.size else np.zeros(net.num_classes)
-        top = float(scores.max())
-        if best_scores is None or top > best_top:
-            best_scores, best_top, best_shift = scores, top, shift
-    return Prediction(class_index=int(np.argmax(best_scores)), scores=best_scores, shift=best_shift)
+    cols, zero = subword_matrix(t.values)
+    shifts = np.arange(-shift_range, shift_range + 1)
+    # Module m at shift s reads column m - s, as np.roll(values, s, axis=1) does.
+    index = (np.arange(net.num_modules) - shifts[:, None]) % net.num_modules
+    # Column-major like subword_matrix's own output, so that einsum sums
+    # each dot product in the same order as the unshifted search in train.
+    gids = net._find_winners(np.asfortranarray(cols[index]), zero[index])
+    scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
+    best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
+    return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
+                      shift=int(shifts[best]))
 
 
 # One sparse decision-layer entry of an LNS1 file.
@@ -335,6 +323,8 @@ def load_model(path: str | Path) -> LamstarNetwork:
         raise FormatError(f"non-numeric LNS1 header field: {data[:nl]!r}") from None
     if min(num_modules, subword_dim, num_classes) < 1:
         raise FormatError(f"LNS1 header count below 1: {data[:nl]!r}")
+    if not (np.isfinite([cfg.winner_threshold, cfg.delta]).all() and cfg.delta > 0):
+        raise FormatError(f"LNS1 header needs finite threshold and delta > 0: {data[:nl]!r}")
     if 4 * num_modules > len(data) - nl - 1:  # each module needs its neuron count
         raise FormatError(f"LNS1 file truncated: too short for {num_modules} modules")
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)

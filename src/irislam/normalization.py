@@ -119,6 +119,8 @@ def load_template(path: str | Path) -> IrisTemplate:
         radial_res, angular_res = int(parts[1]), int(parts[2])
     except ValueError:
         raise FormatError(f"non-numeric IRT1 header field: {data[:nl]!r}") from None
+    if min(radial_res, angular_res) < 1:
+        raise FormatError(f"IRT1 dimension below 1: {data[:nl]!r}")
     label = None if parts[3] == "-" else parts[3]
     body = data[nl + 1 :]
     expected = radial_res * angular_res * 8

@@ -85,6 +85,17 @@ class TestNormalize:
         assert code == 0
         assert load_template(out).values.shape == (10, 64)
 
+    def test_template_size_from_config(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("radial_res = 10\nangular_res = 64\n")
+        out = tmp_path / "t.irt"
+        for flags, header in (([], b"IRT1 10 64 "), (["--radial", "12"], b"IRT1 12 64 ")):
+            code, _, _ = run(capsys, "normalize", str(first_image(synth_root)),
+                             "--loc", "160,140,35,160,140,110", "--out", str(out),
+                             "--config", str(cfg), *flags)
+            assert code == 0
+            assert out.read_bytes().startswith(header)
+
     def test_bad_loc_string_exits_3(self, capsys, synth_root, tmp_path):
         code, _, err = run(capsys, "normalize", str(first_image(synth_root)),
                            "--loc", "1,2,3", "--out", str(tmp_path / "t.irt"))
@@ -134,8 +145,12 @@ class TestTrainEvalCompare:
         b"LNS1 0 20 2 0 0.05 0.95\n" + bytes(8),
         # more modules than the 8 bytes after the header can hold counts for
         b"LNS1 4096 20 2 0 0.05 0.95\n" + bytes(8),
+        # 480 empty modules with a NaN winner threshold, then with a zero delta
+        b"LNS1 480 20 2 0 0.05 nan\n" + bytes(4 * 480 + 8),
+        b"LNS1 480 20 2 0 0.0 0.95\n" + bytes(4 * 480 + 8),
     ], ids=["non_numeric_header", "record_outside_network", "truncated_neuron_block",
-            "zero_module_count", "module_count_exceeds_file"])
+            "zero_module_count", "module_count_exceeds_file", "nan_winner_threshold",
+            "zero_delta"])
     def test_malformed_model_exits_2(self, capsys, synth_root, tmp_path, model_bytes):
         model = tmp_path / "bad.lns"
         model.write_bytes(model_bytes)

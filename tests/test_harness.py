@@ -53,6 +53,12 @@ class TestIndexDataset:
         with pytest.raises(DatasetError):
             index_dataset(tmp_path, train_per_class=5)
 
+    def test_class_name_with_whitespace_is_error(self, tmp_path):
+        # the bad name sorts after a class that is fine
+        make_empty_pgm_tree(tmp_path, {"class000": 6, "class001 copy": 6})
+        with pytest.raises(DatasetError, match="whitespace"):
+            index_dataset(tmp_path, train_per_class=5)
+
     def test_missing_root_is_error(self, tmp_path):
         with pytest.raises(DatasetError):
             index_dataset(tmp_path / "nope", train_per_class=5)

@@ -48,6 +48,22 @@ def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
     return scores
 
 
+def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
+    """Per-shift reference of the shift search: roll the columns, take unit
+    columns, search winners and sum their link weights for each shift in
+    ascending order; the first shift with the highest top score wins.
+    Returns (class index, shift, scores)."""
+    eff = net.decision.effective_matrix(net.config.normalized)
+    best_shift, best_scores = None, None
+    for shift in range(-shift_range, shift_range + 1):
+        cols, zero = subword_matrix(np.roll(t.values, shift, axis=1))
+        gids = net._find_winners(cols, zero)
+        scores = eff[gids[gids >= 0]].sum(axis=0)
+        if best_scores is None or scores.max() > best_scores.max():
+            best_shift, best_scores = shift, scores
+    return int(np.argmax(best_scores)), best_shift, best_scores
+
+
 class TestUnitColumns:
     def test_three_four_five(self):
         cols, zero = subword_matrix(np.array([[3.0], [4.0]]))
@@ -312,6 +328,23 @@ class TestClassify:
             pred = classify(net, t, shift_range=0)
             np.testing.assert_allclose(pred.scores, rewalk_scores(net, t), atol=1e-12)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_matches_per_shift_reference(self, normalized):
+        net, _, _ = self.trained_net()
+        net.config = LamstarConfig(normalized=normalized)
+        rng = np.random.default_rng(11)
+        probes = [IrisTemplate(rng.random((4, 12))) for _ in range(8)]
+        # every shift of an all-zero or constant template scores the same
+        ties = [IrisTemplate(np.zeros((4, 12))), IrisTemplate(np.full((4, 12), 0.5))]
+        for shift_range in range(4):
+            for t in probes + ties:
+                pred = classify(net, t, shift_range=shift_range)
+                class_index, shift, scores = reference_classify(net, t, shift_range)
+                assert (pred.class_index, pred.shift) == (class_index, shift)
+                np.testing.assert_array_equal(pred.scores, scores)
+            for t in ties:  # the first shift in ascending order wins a tie
+                assert classify(net, t, shift_range=shift_range).shift == -shift_range
+
 
 class TestEffectiveWeight:
     def test_always_rewarded_link_caps_at_delta(self):
@@ -441,7 +474,11 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_model(p)
 
-    @pytest.mark.parametrize("index, token", [(1, b"x"), (3, b"2.5"), (4, b"yes"), (6, b"high")])
+    @pytest.mark.parametrize("index, token", [
+        (1, b"x"), (3, b"2.5"), (4, b"yes"), (6, b"high"),
+        # non-finite winner threshold or delta, and delta <= 0
+        (6, b"nan"), (6, b"inf"), (5, b"nan"), (5, b"inf"), (5, b"0.0"), (5, b"-0.05"),
+    ])
     def test_non_numeric_header_field_rejected(self, tmp_path, index, token):
         data = self.toy_model_bytes(tmp_path)
         nl = data.index(b"\n")

@@ -228,6 +228,9 @@ class TestTemplateFile:
 
     def test_non_numeric_header_field_rejected(self, tmp_path):
         p = tmp_path / "t.irt"
-        p.write_bytes(b"IRT1 4 eight x\n" + bytes(256))
-        with pytest.raises(FormatError):
-            load_template(p)
+        # also dimensions below 1; the last body is (-2) * (-4) * 8 bytes long
+        for data in (b"IRT1 4 eight x\n" + bytes(256), b"IRT1 0 0 x\n",
+                     b"IRT1 -2 -4 x\n" + bytes(64)):
+            p.write_bytes(data)
+            with pytest.raises(FormatError):
+                load_template(p)
