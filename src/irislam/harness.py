@@ -14,6 +14,7 @@ import ast
 import hashlib
 import logging
 import math
+import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from irislam.errors import ConfigError, DatasetError, LocalizationError
+from irislam.errors import ConfigError, DatasetError, FormatError, LocalizationError
 from irislam.imaging import load_gray_image
 from irislam.lamstar import (
     LamstarConfig,
@@ -75,17 +76,31 @@ class HarnessConfig:
     cache_dir: str | None = None  # None: <dataset root>/.template_cache
 
     def __post_init__(self):
-        for key, value, low in (
-            ("shift_range", self.shift_range, 0),
-            ("train_per_class", self.train_per_class, 1),
-            ("radial_res", self.radial_res, 2),
-            ("angular_res", self.angular_res, 4),
-            ("lamstar.epochs", self.lamstar.epochs, 1),
+        lam, loc = self.lamstar, self.localization
+        # Each test is written so that NaN fails it.
+        for key, ok, need in (
+            ("shift_range", self.shift_range >= 0, ">= 0"),
+            ("train_per_class", self.train_per_class >= 1, ">= 1"),
+            ("radial_res", self.radial_res >= 2, ">= 2"),
+            ("angular_res", self.angular_res >= 4, ">= 4"),
+            ("lamstar.epochs", lam.epochs >= 1, ">= 1"),
+            ("lamstar.max_update_iters", lam.max_update_iters >= 1, ">= 1"),
+            ("lamstar.delta", 0 < lam.delta < math.inf, "finite and > 0"),
+            ("lamstar.learning_rate", 0 < lam.learning_rate <= 1, "in (0, 1]"),
+            ("lamstar.winner_threshold", math.isfinite(lam.winner_threshold), "finite"),
+            ("lamstar.convergence_target", math.isfinite(lam.convergence_target), "finite"),
+            ("localization.sigma", 0 < loc.sigma < math.inf, "finite and > 0"),
+            ("localization.t_high", 0 < loc.t_high <= 1, "in (0, 1]"),
+            ("localization.t_low", 0 < loc.t_low <= loc.t_high, "in (0, localization.t_high]"),
+            ("localization.horizontal_weight", 0 <= loc.horizontal_weight <= 1, "in [0, 1]"),
+            ("localization.iris_r_min", 0 < loc.iris_r_min < loc.iris_r_max,
+             "in (0, localization.iris_r_max)"),
+            ("localization.pupil_r_min", 0 < loc.pupil_r_min < loc.pupil_r_max,
+             "in (0, localization.pupil_r_max)"),
+            ("localization.pupil_center_slack", loc.pupil_center_slack >= 0, ">= 0"),
         ):
-            if value < low:
-                raise ConfigError(f"{key} must be >= {low}, got {value}")
-        if not self.lamstar.delta > 0:
-            raise ConfigError(f"lamstar.delta must be > 0, got {self.lamstar.delta}")
+            if not ok:
+                raise ConfigError(f"{key} must be {need}, got {self.echo()[key]}")
 
     def _parts(self) -> dict[str, object]:
         """The config objects behind the flat keys, by key prefix."""
@@ -210,6 +225,18 @@ def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate
     return unwrap(img, loc, cfg.radial_res, cfg.angular_res, label=label)
 
 
+def _load_cached(path: Path) -> IrisTemplate | None:
+    """The cached template at path, or None when there is no entry or the
+    entry is corrupt; a corrupt entry is then recomputed and overwritten."""
+    if not path.is_file():
+        return None
+    try:
+        return load_template(path)
+    except FormatError as exc:
+        logger.warning("recomputing corrupt template-cache entry %s: %s", path, exc)
+        return None
+
+
 def _templates_for(
     entries: list[DatasetEntry],
     index: DatasetIndex,
@@ -225,18 +252,20 @@ def _templates_for(
     for entry in entries:
         label = index.class_names[entry.class_id]
         cached = cache_dir / digest / label / (entry.path.stem + ".irt")
-        if cached.is_file():
-            templates.append(load_template(cached))
-            labels.append(entry.class_id)
-            continue
-        try:
-            t = compute_template(entry.path, label, cfg)
-        except LocalizationError as exc:
-            logger.warning("excluding %s: %s", entry.path, exc)
-            failed.append(entry)
-            continue
-        cached.parent.mkdir(parents=True, exist_ok=True)
-        save_template(t, cached)
+        t = _load_cached(cached)
+        if t is None:
+            try:
+                t = compute_template(entry.path, label, cfg)
+            except LocalizationError as exc:
+                logger.warning("excluding %s: %s", entry.path, exc)
+                failed.append(entry)
+                continue
+            cached.parent.mkdir(parents=True, exist_ok=True)
+            # Write beside the entry, then rename over it, so a crash never
+            # leaves a partial entry; the temp name does not end in .irt.
+            partial = cached.with_name(cached.name + ".partial")
+            save_template(t, partial)
+            os.replace(partial, cached)
         templates.append(t)
         labels.append(entry.class_id)
     return templates, labels, failed

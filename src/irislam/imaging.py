@@ -136,14 +136,6 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
     return GrayImage(np.clip(out, 0.0, 1.0))
 
 
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """The truncated, sum-normalized 1-D kernel used by gaussian_smooth."""
-    radius = ceil(3.0 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
-
-
 def _gradient_field(gx: np.ndarray, gy: np.ndarray) -> GradientField:
     """Magnitude hypot(gx, gy) scaled to a global maximum of 1 (all zeros
     when gx and gy are), and orientation atan2(gy, gx)."""

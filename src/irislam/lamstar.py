@@ -64,17 +64,15 @@ def subword_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, zero
 
 
-def som_present(
-    module: SomModule, s: np.ndarray, cfg: LamstarConfig, learn: bool = True
-) -> tuple[int | None, bool]:
-    """Present one unit-norm subword to one module.
+def som_present(module: SomModule, s: np.ndarray, cfg: LamstarConfig) -> tuple[int | None, bool]:
+    """Present one unit-norm subword to one module during training.
 
     Returns (winner index, created). The best-matching neuron wins if its
-    dot product clears cfg.winner_threshold (ties go to the lowest index).
-    With learn=True a losing presentation appends a new neuron equal to
-    the subword, and a winning neuron is pulled toward the subword by
-    w <- w + alpha*(s - w) (renormalized each step) until its dot product
-    reaches cfg.convergence_target. The all-zero vector abstains.
+    dot product clears cfg.winner_threshold (ties go to the lowest index)
+    and is pulled toward the subword by w <- w + alpha*(s - w)
+    (renormalized each step) until its dot product reaches
+    cfg.convergence_target; otherwise a new neuron equal to the subword is
+    appended. The all-zero vector abstains.
     """
     if not s.any():
         return None, False
@@ -82,17 +80,14 @@ def som_present(
         dots = module.weights @ s
         winner = int(np.argmax(dots))
         if dots[winner] >= cfg.winner_threshold:
-            if learn:
-                w = module.weights[winner]
-                for _ in range(cfg.max_update_iters):
-                    if w @ s >= cfg.convergence_target:
-                        break
-                    w = w + cfg.learning_rate * (s - w)
-                    w = w / np.linalg.norm(w)
-                module.weights[winner] = w
+            w = module.weights[winner]
+            for _ in range(cfg.max_update_iters):
+                if w @ s >= cfg.convergence_target:
+                    break
+                w = w + cfg.learning_rate * (s - w)
+                w = w / np.linalg.norm(w)
+            module.weights[winner] = w
             return winner, False
-    if not learn:
-        return None, False
     module.weights = np.vstack([module.weights, s[None, :]])
     return module.n_neurons - 1, True
 
@@ -132,9 +127,12 @@ class Prediction:
 @dataclass
 class TrainingLog:
     neuron_counts: list[int]
-    epochs_run: int
     epoch_errors: list[int]
     train_seconds: float
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_errors)
 
 
 class LamstarNetwork:
@@ -210,7 +208,7 @@ def train(
     # SOM phase: sequential over templates, dynamic creation per module.
     for cols, _ in columns:
         for m in range(net.num_modules):
-            som_present(net.modules[m], cols[m], cfg, learn=True)
+            som_present(net.modules[m], cols[m], cfg)
 
     net._freeze()
 
@@ -235,7 +233,6 @@ def train(
 
     return TrainingLog(
         neuron_counts=[m.n_neurons for m in net.modules],
-        epochs_run=len(epoch_errors),
         epoch_errors=epoch_errors,
         train_seconds=time.perf_counter() - start,
     )
@@ -343,6 +340,8 @@ def load_model(path: str | Path) -> LamstarNetwork:
         )
         pos += n * subword_dim * 8
     net._freeze()
+    if not np.isfinite(net._packed).all():
+        raise FormatError("LNS1 neuron weight is not finite")
     body = len(data) - pos - 8
     if body < 0 or body % _RECORD.itemsize:
         raise FormatError("malformed LNS1 decision-layer section")
@@ -360,6 +359,8 @@ def load_model(path: str | Path) -> LamstarNetwork:
     if np.any((neuron >= neuron_limit) | (classes >= num_classes)
               | (records["rewards"] > np.iinfo(dec.reward_counts.dtype).max)):
         raise FormatError("LNS1 decision record out of range")
+    if not np.isfinite(records["weight"]).all():
+        raise FormatError("LNS1 link weight is not finite")
     gids = dec.offsets[module] + neuron
     dec.weights[gids, classes] = records["weight"]
     dec.reward_counts[gids, classes] = records["rewards"]

@@ -27,6 +27,8 @@ TEXTURE_MEAN = 0.5
 TEXTURE_AMPLITUDE = 0.2
 _NUM_HARMONICS = 8
 _SEED_MASK = (1 << 63) - 1
+_WIDTH, _HEIGHT = 320, 280  # make_benchmark's image size
+_MAX_ROTATION = 3.0 * 2.0 * math.pi / 480  # 3 columns of a 480-column template
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,9 @@ class SyntheticEyeSpec:
         return IrisLocalization(pupil=self.pupil, iris=self.iris)
 
 
-@dataclass(frozen=True)
-class _TextureParams:
-    harmonics: np.ndarray
-    phases: np.ndarray
-    amps: np.ndarray
-    radial_cycles: np.ndarray
-    radial_phases: np.ndarray
-    rms: float
-
-
-def _texture_params(texture_seed: int, class_id: int) -> _TextureParams:
+def _texture(texture_seed: int, class_id: int, theta: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """The class's band-limited texture in [-1, 1]; theta angular,
+    fraction in [0, 1]."""
     rng = np.random.default_rng(
         np.random.SeedSequence([texture_seed & _SEED_MASK, class_id & _SEED_MASK, 0xA11CE])
     )
@@ -76,24 +70,35 @@ def _texture_params(texture_seed: int, class_id: int) -> _TextureParams:
     amps = rng.uniform(0.5, 1.0, size=_NUM_HARMONICS)
     radial_cycles = rng.integers(1, 4, size=_NUM_HARMONICS)
     radial_phases = rng.uniform(0.0, 2.0 * math.pi, size=_NUM_HARMONICS)
-    # each sin*cos product has RMS 1/2; terms are incoherent
-    rms = 0.5 * float(np.sqrt(np.sum(amps**2)))
-    return _TextureParams(harmonics, phases, amps, radial_cycles, radial_phases, rms)
-
-
-def _texture_field(params: _TextureParams, theta: np.ndarray, fraction: np.ndarray) -> np.ndarray:
-    """Band-limited texture in [-1, 1]; theta angular, fraction in [0, 1]."""
     raw = np.zeros_like(theta)
-    for h, ph, a, rc, rp in zip(
-        params.harmonics, params.phases, params.amps, params.radial_cycles, params.radial_phases
-    ):
+    for h, ph, a, rc, rp in zip(harmonics, phases, amps, radial_cycles, radial_phases):
         raw += a * np.sin(h * theta + ph) * np.cos(math.pi * rc * fraction + rp)
-    # target RMS 0.6 keeps classes far apart; clip bounds the excursion
-    return np.clip(raw * (0.6 / params.rms), -1.0, 1.0)
+    # each sin*cos product has RMS 1/2 and the terms are incoherent; target
+    # RMS 0.6 keeps classes far apart, and the clip bounds the excursion
+    rms = 0.5 * float(np.sqrt(np.sum(amps**2)))
+    return np.clip(raw * (0.6 / rms), -1.0, 1.0)
 
 
 def _float_bits(*values: float) -> list[int]:
     return [int(np.float64(v).view(np.uint64)) & _SEED_MASK for v in values]
+
+
+def _annulus(
+    width: int, height: int, loc: IrisLocalization
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel masks of the pupil disk and the iris annulus, plus, for each
+    annulus pixel, its ray angle around the pupil center and its
+    fractional position (0 at the pupil edge, 1 at the limbus) along that
+    ray."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    dp = np.hypot(xs - loc.pupil.cx, ys - loc.pupil.cy)
+    di = np.hypot(xs - loc.iris.cx, ys - loc.iris.cy)
+    pupil_mask = dp <= loc.pupil.r
+    annulus_mask = (di <= loc.iris.r) & ~pupil_mask
+    theta = np.arctan2(ys - loc.pupil.cy, xs - loc.pupil.cx)[annulus_mask]
+    span = np.maximum(radial_extents(loc, theta) - loc.pupil.r, 1e-9)
+    fraction = np.clip((dp[annulus_mask] - loc.pupil.r) / span, 0.0, 1.0)
+    return pupil_mask, annulus_mask, theta, fraction
 
 
 def render_eye(spec: SyntheticEyeSpec) -> GrayImage:
@@ -101,22 +106,10 @@ def render_eye(spec: SyntheticEyeSpec) -> GrayImage:
     sclera, plus optional Gaussian pixel noise. Deterministic given the
     spec; the noise realization does not depend on the rotation, so a
     full-turn rotation reproduces the unrotated image."""
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
-    loc = spec.localization
-    dp = np.hypot(xs - spec.pupil.cx, ys - spec.pupil.cy)
-    di = np.hypot(xs - spec.iris.cx, ys - spec.iris.cy)
-    pupil_mask = dp <= spec.pupil.r
-    annulus_mask = (di <= spec.iris.r) & ~pupil_mask
-
+    pupil_mask, annulus_mask, theta, fraction = _annulus(spec.width, spec.height, spec.localization)
     out = np.full((spec.height, spec.width), SCLERA_INTENSITY)
     out[pupil_mask] = PUPIL_INTENSITY
-
-    theta = np.arctan2(ys - spec.pupil.cy, xs - spec.pupil.cx)[annulus_mask]
-    r_prime = radial_extents(loc, theta)
-    span = np.maximum(r_prime - spec.pupil.r, 1e-9)
-    fraction = np.clip((dp[annulus_mask] - spec.pupil.r) / span, 0.0, 1.0)
-    params = _texture_params(spec.texture_seed, spec.class_id)
-    tex = _texture_field(params, theta - spec.rotation, fraction)
+    tex = _texture(spec.texture_seed, spec.class_id, theta - spec.rotation, fraction)
     out[annulus_mask] = TEXTURE_MEAN + TEXTURE_AMPLITUDE * tex
 
     if spec.noise_sigma > 0:
@@ -138,16 +131,10 @@ def render_fraction_annulus(width: int, height: int, loc: IrisLocalization) -> G
     """Analytic test image: annulus intensity equals the fractional
     position between the pupil and iris boundaries along the pupil ray
     (0 at the pupil edge, 1 at the limbus); pupil 0, outside 1."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    dp = np.hypot(xs - loc.pupil.cx, ys - loc.pupil.cy)
-    di = np.hypot(xs - loc.iris.cx, ys - loc.iris.cy)
-    pupil_mask = dp <= loc.pupil.r
-    annulus_mask = (di <= loc.iris.r) & ~pupil_mask
+    pupil_mask, annulus_mask, _, fraction = _annulus(width, height, loc)
     out = np.ones((height, width))
     out[pupil_mask] = 0.0
-    theta = np.arctan2(ys - loc.pupil.cy, xs - loc.pupil.cx)[annulus_mask]
-    span = np.maximum(radial_extents(loc, theta) - loc.pupil.r, 1e-9)
-    out[annulus_mask] = np.clip((dp[annulus_mask] - loc.pupil.r) / span, 0.0, 1.0)
+    out[annulus_mask] = fraction
     return GrayImage(out)
 
 
@@ -163,21 +150,18 @@ def _sample_spec(
     rng: np.random.Generator,
     texture_seed: int,
     class_id: int,
-    width: int,
-    height: int,
     noise_sigma: float,
-    max_rotation: float,
 ) -> SyntheticEyeSpec:
-    icx = width / 2 + rng.uniform(-4.0, 4.0)
-    icy = height / 2 + rng.uniform(-4.0, 4.0)
+    icx = _WIDTH / 2 + rng.uniform(-4.0, 4.0)
+    icy = _HEIGHT / 2 + rng.uniform(-4.0, 4.0)
     iris_r = rng.uniform(105.0, 115.0)
     pupil_r = 40.0 * rng.uniform(0.85, 1.15)
     offset_mag = rng.uniform(0.0, 8.0)
     offset_dir = rng.uniform(0.0, 2.0 * math.pi)
-    rotation = rng.uniform(-max_rotation, max_rotation)
+    rotation = rng.uniform(-_MAX_ROTATION, _MAX_ROTATION)
     return SyntheticEyeSpec(
-        width=width,
-        height=height,
+        width=_WIDTH,
+        height=_HEIGHT,
         pupil=Circle(
             cx=icx + offset_mag * math.cos(offset_dir),
             cy=icy + offset_mag * math.sin(offset_dir),
@@ -196,21 +180,17 @@ def make_benchmark(
     train_per_class: int,
     test_per_class: int,
     seed: int,
-    width: int = 320,
-    height: int = 280,
     noise_sigma: float = 0.01,
-    max_rotation_columns: float = 3.0,
-    angular_res: int = 480,
 ) -> tuple[list[LabeledEye], list[LabeledEye]]:
-    """Disjoint labeled train/test image sets, deterministic given seed.
+    """Disjoint labeled train/test sets of 320x280 eyes, deterministic
+    given seed.
 
     Eyes of one class share a texture but vary in pupil radius (+-15%),
-    pupil offset (<= 8 px), rotation (up to max_rotation_columns template
-    columns) and noise realization.
+    pupil offset (<= 8 px), rotation (up to 3 of 480 template columns)
+    and noise realization.
     """
     if num_classes < 1 or train_per_class < 1 or test_per_class < 1:
         raise ValueError("all counts must be positive")
-    max_rotation = max_rotation_columns * 2.0 * math.pi / angular_res
     train: list[LabeledEye] = []
     test: list[LabeledEye] = []
     for class_id in range(num_classes):
@@ -218,7 +198,7 @@ def make_benchmark(
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed & _SEED_MASK, class_id, idx])
             )
-            spec = _sample_spec(rng, seed, class_id, width, height, noise_sigma, max_rotation)
+            spec = _sample_spec(rng, seed, class_id, noise_sigma)
             eye = LabeledEye(
                 image=render_eye(spec),
                 class_id=class_id,

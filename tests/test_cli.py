@@ -148,9 +148,16 @@ class TestTrainEvalCompare:
         # 480 empty modules with a NaN winner threshold, then with a zero delta
         b"LNS1 480 20 2 0 0.05 nan\n" + bytes(4 * 480 + 8),
         b"LNS1 480 20 2 0 0.0 0.95\n" + bytes(4 * 480 + 8),
+        # one module with a NaN neuron and no records, then with a sound
+        # neuron and one NaN-weight record
+        b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little")
+        + np.float64(np.nan).tobytes() + bytes(8),
+        b"LNS1 1 1 2 0 0.05 0.95\n" + (1).to_bytes(4, "little") + np.float64(1.0).tobytes()
+        + bytes(12) + np.float64(np.nan).tobytes() + (1).to_bytes(8, "little")
+        + (1).to_bytes(8, "little"),
     ], ids=["non_numeric_header", "record_outside_network", "truncated_neuron_block",
             "zero_module_count", "module_count_exceeds_file", "nan_winner_threshold",
-            "zero_delta"])
+            "zero_delta", "nan_neuron_weight", "nan_link_weight"])
     def test_malformed_model_exits_2(self, capsys, synth_root, tmp_path, model_bytes):
         model = tmp_path / "bad.lns"
         model.write_bytes(model_bytes)
@@ -173,7 +180,13 @@ class TestTrainEvalCompare:
         assert not (data / ".template_cache").exists()
         cfg = tmp_path / "cfg.txt"
         for setting in ("lamstar.epochs = 0", "lamstar.delta = 0", "radial_res = 1",
-                        "angular_res = 3", "train_per_class = 0", "lamstar.delta = nan"):
+                        "angular_res = 3", "train_per_class = 0", "lamstar.delta = nan",
+                        "lamstar.learning_rate = nan", "lamstar.learning_rate = 1.5",
+                        "lamstar.winner_threshold = nan", "lamstar.convergence_target = inf",
+                        "lamstar.max_update_iters = -1", "localization.sigma = 0",
+                        "localization.t_low = 0.5", "localization.t_high = 2",
+                        "localization.horizontal_weight = 2", "localization.iris_r_min = 200",
+                        "localization.pupil_r_min = 0", "localization.pupil_center_slack = -1"):
             cfg.write_text(setting + "\n")
             code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data),
                                "--config", str(cfg))

@@ -104,6 +104,22 @@ class TestRunTrain:
         run_train(index, cfg, second)
         assert second.read_bytes() == model_path.read_bytes()
 
+    def test_corrupt_cache_entry_is_recomputed(self, small_dataset, tmp_path, caplog):
+        cfg = HarnessConfig(train_per_class=3, cache_dir=str(tmp_path / "cache"))
+        index = index_dataset(small_dataset, cfg.train_per_class)
+        first, second = tmp_path / "first.lns", tmp_path / "second.lns"
+        run_train(index, cfg, first)
+        entries = sorted((tmp_path / "cache").rglob("*.irt"))
+        whole = entries[0].read_bytes()
+        entries[0].write_bytes(whole[: len(whole) // 2])  # as a crash mid-write would
+        with caplog.at_level("WARNING"):
+            run_train(index, cfg, second)
+        assert "corrupt template-cache entry" in caplog.text
+        assert entries[0].read_bytes() == whole
+        assert second.read_bytes() == first.read_bytes()
+        # no temporary file is left beside the entries
+        assert sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file()) == entries
+
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex
         index = DatasetIndex(root=tmp_path, entries=[], class_names=[])
@@ -214,11 +230,12 @@ class TestCompareVariants:
         assert results[1].report.config_echo["lamstar.normalized"] == "True"
 
 
-# Every int field has a lower bound of at most 4 and lamstar.delta must be
-# positive, so these draws are all valid configurations.
+# Every int field has a lower bound of at most 4 and every float field
+# accepts (0, 1]; with the bounded localization pairs put in order below,
+# these draws are all valid configurations.
 _FIELD_VALUES = {
     int: st.integers(4, 10**6),
-    float: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    float: st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     bool: st.booleans(),
 }
 
@@ -229,8 +246,17 @@ def _configs(cls, **nested):
                              for name in kinds if kinds[name] in _FIELD_VALUES}, **nested)
 
 
+def _ordered(loc: LocalizationConfig) -> LocalizationConfig:
+    """t_low <= t_high, iris_r_min < iris_r_max and pupil_r_min < pupil_r_max."""
+    (t_low, t_high), (i0, i1), (p0, p1) = (
+        sorted(pair) for pair in ((loc.t_low, loc.t_high), (loc.iris_r_min, loc.iris_r_max),
+                                  (loc.pupil_r_min, loc.pupil_r_max)))
+    return replace(loc, t_low=t_low, t_high=t_high, iris_r_min=i0, iris_r_max=i1 + 1,
+                   pupil_r_min=p0, pupil_r_max=p1 + 1)
+
+
 class TestFlatSettings:
-    @given(_configs(HarnessConfig, localization=_configs(LocalizationConfig),
+    @given(_configs(HarnessConfig, localization=_configs(LocalizationConfig).map(_ordered),
                     lamstar=_configs(LamstarConfig), cache_dir=st.none() | st.text()))
     @example(HarnessConfig())
     @example(HarnessConfig(cache_dir="templates/cache"))

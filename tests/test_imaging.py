@@ -1,4 +1,6 @@
 
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,20 @@ from irislam.errors import FormatError
 from irislam.imaging import (
     GrayImage,
     compute_gradient,
-    gaussian_kernel_1d,
     gaussian_smooth,
     load_gray_image,
     save_gray_image,
     weight_vertical_gradient,
 )
+
+
+def gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    """The truncated, sum-normalized 1-D kernel gaussian_smooth applies:
+    radius ceil(3*sigma)."""
+    radius = ceil(3.0 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    return k / k.sum()
 
 
 def brute_gaussian_2d(pixels: np.ndarray, sigma: float) -> np.ndarray:

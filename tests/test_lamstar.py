@@ -138,16 +138,6 @@ class TestSomPresent:
         assert winner is None and not created
         assert module.n_neurons == 0
 
-    def test_inference_mode_never_mutates(self):
-        module = SomModule(dim=2)
-        som_present(module, unit([1.0, 0.0]), self.cfg)
-        before = module.weights.copy()
-        winner, created = som_present(
-            module, unit([0.0, 1.0]), self.cfg, learn=False
-        )
-        assert winner is None and not created
-        np.testing.assert_array_equal(module.weights, before)
-
     def test_update_contraction_rate(self):
         # one raw step of w <- w + 0.8*(s - w) shrinks 1 - dot by at least 5x;
         # renormalization only helps
@@ -448,6 +438,21 @@ class TestModelFile:
         p = tmp_path / "bad.lns"
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="out of range"):
+            load_model(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("section", ["neuron", "link"])
+    def test_non_finite_weight_rejected(self, tmp_path, section, value):
+        data = bytearray(self.toy_model_bytes(tmp_path))
+        n_records = int.from_bytes(data[-8:], "little")
+        # the first neuron's first weight follows the header and module 0's
+        # count; the first record's weight follows its three uint32 fields
+        offset = {"neuron": data.index(b"\n") + 1 + 4,
+                  "link": len(data) - 8 - 28 * n_records + 12}[section]
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        p = tmp_path / "bad.lns"
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{section} weight is not finite"):
             load_model(p)
 
     def test_truncated_neuron_block_rejected(self, tmp_path):
