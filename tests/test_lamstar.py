@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,16 @@ from irislam.lamstar import (
     subword_matrix,
     train,
 )
-from irislam.normalization import IrisTemplate
+from irislam.normalization import IrisTemplate, unwrap
+from irislam.synthdata import make_benchmark
+
+# sha256 over (class index, shift, score bytes) of every pinned probe in
+# TestClassify.test_outputs_pinned, recorded from the einsum winner search
+# that preceded the stacked matmul; any rewrite must reproduce them.
+CLASSIFY_SHA256 = {
+    False: "a443d12186f56bc7a2806745f6db96cf6fdea862593849f9293e5d78c753d721",
+    True: "70f4b28bd441703c4077f89d05fad1360d22fdf33ec7c50b05fb68b97303452b",
+}
 
 
 def unit(x) -> np.ndarray:
@@ -49,16 +60,26 @@ def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
 
 
 def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
-    """Per-shift reference of the shift search: roll the columns, take unit
-    columns, search winners and sum their link weights for each shift in
-    ascending order; the first shift with the highest top score wins.
+    """Per-shift reference of the shift search, independent of the packed
+    winner search: for each shift in ascending order roll the columns, and
+    in each module take the argmax of weights @ column, which wins if it
+    clears the threshold (an all-zero column abstains); sum the winners'
+    link weights. The first shift with the highest top score wins.
     Returns (class index, shift, scores)."""
     eff = net.decision.effective_matrix(net.config.normalized)
+    offsets = np.cumsum([0] + [m.n_neurons for m in net.modules])
     best_shift, best_scores = None, None
     for shift in range(-shift_range, shift_range + 1):
-        cols, zero = subword_matrix(np.roll(t.values, shift, axis=1))
-        gids = net._find_winners(cols, zero)
-        scores = eff[gids[gids >= 0]].sum(axis=0)
+        cols, _ = subword_matrix(np.roll(t.values, shift, axis=1))
+        gids = []
+        for m, module in enumerate(net.modules):
+            if module.n_neurons == 0 or not cols[m].any():
+                continue
+            dots = module.weights @ cols[m]
+            winner = int(np.argmax(dots))
+            if dots[winner] >= net.config.winner_threshold:
+                gids.append(offsets[m] + winner)
+        scores = eff[np.array(gids, dtype=np.int64)].sum(axis=0)
         if best_scores is None or scores.max() > best_scores.max():
             best_shift, best_scores = shift, scores
     return int(np.argmax(best_scores)), best_shift, best_scores
@@ -334,6 +355,30 @@ class TestClassify:
                 np.testing.assert_array_equal(pred.scores, scores)
             for t in ties:  # the first shift in ascending order wins a tie
                 assert classify(net, t, shift_range=shift_range).shift == -shift_range
+
+
+    @pytest.fixture(scope="class")
+    def seed11_templates(self):
+        train_eyes, test_eyes = make_benchmark(4, 3, 1, seed=11)
+        train_t = [unwrap(e.image, e.spec.localization) for e in train_eyes]
+        test_t = [unwrap(e.image, e.spec.localization) for e in test_eyes]
+        return train_t, [e.class_id for e in train_eyes], test_t
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_outputs_pinned(self, seed11_templates, normalized):
+        # every test eye of the seed-11 benchmark rotated by -5..5 columns,
+        # classified at shift ranges 0 and 8
+        train_t, labels, test_t = seed11_templates
+        net = LamstarNetwork(480, 20, 4, LamstarConfig(normalized=normalized))
+        train(net, train_t, labels)
+        digest = hashlib.sha256()
+        for shift_range in (0, 8):
+            for t in test_t:
+                for rotation in range(-5, 6):
+                    pred = classify(net, IrisTemplate(np.roll(t.values, rotation, axis=1)), shift_range)
+                    digest.update(np.array([pred.class_index, pred.shift], dtype="<i8").tobytes())
+                    digest.update(pred.scores.astype("<f8").tobytes())
+        assert digest.hexdigest() == CLASSIFY_SHA256[normalized]
 
 
 class TestEffectiveWeight:
