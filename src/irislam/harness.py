@@ -184,8 +184,8 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
     Classes with fewer than train_per_class + 1 images are skipped with a
     warning (no test remainder would exist). Directories whose names start
     with a dot, such as the default template cache, are not classes. A
-    class name is a template label, so one with whitespace raises
-    DatasetError.
+    class name is an ASCII template label, so one with whitespace or a
+    non-ASCII character raises DatasetError.
     """
     root = Path(root)
     if not root.is_dir():
@@ -205,6 +205,8 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
             continue
         if any(c.isspace() for c in class_dir.name):
             raise DatasetError(f"class directory name contains whitespace: {class_dir.name!r}")
+        if not class_dir.name.isascii():
+            raise DatasetError(f"class directory name is not ASCII: {class_dir.name!r}")
         class_id = len(class_names)
         class_names.append(class_dir.name)
         for i, f in enumerate(files):

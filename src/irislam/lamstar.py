@@ -52,16 +52,15 @@ class SomModule:
         return self.weights.shape[0]
 
 
-def subword_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def subword_matrix(values: np.ndarray) -> np.ndarray:
     """Template columns as unit-norm subwords: a (num_columns, dim) matrix
-    in column order plus zero-column flags. A (near-)zero column becomes
-    the all-zero vector and is flagged."""
+    in column order. A (near-)zero column becomes the all-zero vector."""
     cols = values.T.astype(np.float64, copy=True)
     norms = np.linalg.norm(cols, axis=1)
     zero = norms < _ZERO_NORM_EPS
     cols[zero] = 0.0
     cols[~zero] /= norms[~zero, None]
-    return cols, zero
+    return cols
 
 
 def som_present(module: SomModule, s: np.ndarray, cfg: LamstarConfig) -> tuple[int | None, bool]:
@@ -103,8 +102,8 @@ class DecisionLayer:
         if num_classes < 1:
             raise ValueError("num_classes must be positive")
         self.num_classes = num_classes
-        self.neuron_counts = list(neuron_counts)
-        self.offsets = np.concatenate([[0], np.cumsum(self.neuron_counts)]).astype(np.int64)
+        # Module m owns global rows offsets[m] to offsets[m + 1].
+        self.offsets = np.concatenate([[0], np.cumsum(neuron_counts)]).astype(np.int64)
         total = int(self.offsets[-1])
         self.weights = np.zeros((total, num_classes), dtype=np.float64)
         self.reward_counts = np.zeros((total, num_classes), dtype=np.int64)
@@ -160,24 +159,23 @@ class LamstarNetwork:
         """End neuron growth: create the zeroed decision layer and pack the
         neuron weights, padded to (num_modules, max_n, dim) with a validity
         mask, for the winner search."""
-        counts = [m.n_neurons for m in self.modules]
+        counts = np.array([m.n_neurons for m in self.modules])
         self.decision = DecisionLayer(counts, self.num_classes)
-        packed = np.zeros((self.num_modules, max(1, max(counts)), self.subword_dim))
-        valid = np.zeros(packed.shape[:2], dtype=bool)
-        for i, m in enumerate(self.modules):
-            packed[i, : m.n_neurons] = m.weights
-            valid[i, : m.n_neurons] = True
+        valid = np.arange(max(1, counts.max())) < counts[:, None]
+        packed = np.zeros((*valid.shape, self.subword_dim))
+        packed[valid] = np.concatenate([m.weights for m in self.modules])  # global neuron order
         self._packed, self._valid = packed, valid
 
-    def _find_winners(self, subwords: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    def _find_winners(self, subwords: np.ndarray) -> np.ndarray:
         """Global neuron id of the winner per module, -1 for abstentions.
-        subwords is (..., num_modules, dim) and zero (..., num_modules)."""
-        dots = np.einsum("mnd,...md->...mn", self._packed, subwords)
+        subwords is (..., num_modules, dim) of unit or all-zero rows in any
+        memory layout; an all-zero row abstains."""
+        # One layout for every caller fixes the order each dot is summed in.
+        subwords = np.ascontiguousarray(subwords)
+        dots = np.matmul(self._packed, subwords[..., None])[..., 0]
         dots[..., ~self._valid] = -np.inf
-        winner = np.argmax(dots, axis=-1)
-        best = np.take_along_axis(dots, winner[..., None], axis=-1)[..., 0]
-        ok = (best >= self.config.winner_threshold) & ~zero
-        gids = self.decision.offsets[:-1] + winner
+        ok = (dots.max(axis=-1) >= self.config.winner_threshold) & subwords.any(axis=-1)
+        gids = self.decision.offsets[:-1] + np.argmax(dots, axis=-1)
         return np.where(ok, gids, -1)
 
 
@@ -206,14 +204,14 @@ def train(
     columns = [subword_matrix(t.values) for t in templates]
 
     # SOM phase: sequential over templates, dynamic creation per module.
-    for cols, _ in columns:
+    for cols in columns:
         for m in range(net.num_modules):
             som_present(net.modules[m], cols[m], cfg)
 
     net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
-    winners = [net._find_winners(cols, zero) for cols, zero in columns]
+    winners = [net._find_winners(cols) for cols in columns]
 
     dec = net.decision
     epoch_errors: list[int] = []
@@ -252,13 +250,11 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
         raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
     eff = net.decision.effective_matrix(net.config.normalized)
-    cols, zero = subword_matrix(t.values)
+    cols = subword_matrix(t.values)
     shifts = np.arange(-shift_range, shift_range + 1)
     # Module m at shift s reads column m - s, as np.roll(values, s, axis=1) does.
     index = (np.arange(net.num_modules) - shifts[:, None]) % net.num_modules
-    # Column-major like subword_matrix's own output, so that einsum sums
-    # each dot product in the same order as the unshifted search in train.
-    gids = net._find_winners(np.asfortranarray(cols[index]), zero[index])
+    gids = net._find_winners(cols[index])
     scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
@@ -355,7 +351,7 @@ def load_model(path: str | Path) -> LamstarNetwork:
     classes = records["cls"].astype(np.int64)
     dec = net.decision
     # A module index past the last module reads a neuron count of 0.
-    neuron_limit = np.append(dec.neuron_counts, 0)[np.minimum(module, num_modules)]
+    neuron_limit = np.append(np.diff(dec.offsets), 0)[np.minimum(module, num_modules)]
     if np.any((neuron >= neuron_limit) | (classes >= num_classes)
               | (records["rewards"] > np.iinfo(dec.reward_counts.dtype).max)):
         raise FormatError("LNS1 decision record out of range")

@@ -40,6 +40,8 @@ class IrisTemplate:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array")
+        if not np.isfinite(self.values).all():
+            raise ValueError("template values must be finite")
 
     @property
     def radial_res(self) -> int:
@@ -127,4 +129,6 @@ def load_template(path: str | Path) -> IrisTemplate:
     if len(body) != expected:
         raise FormatError(f"IRT1 body has {len(body)} bytes, expected {expected}")
     values = np.frombuffer(body, dtype="<f8").reshape(radial_res, angular_res)
+    if not np.isfinite(values).all():
+        raise FormatError("IRT1 template value is not finite")
     return IrisTemplate(values=values.copy(), label=label)

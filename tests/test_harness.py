@@ -54,10 +54,13 @@ class TestIndexDataset:
             index_dataset(tmp_path, train_per_class=5)
 
     def test_class_name_with_whitespace_is_error(self, tmp_path):
-        # the bad name sorts after a class that is fine
-        make_empty_pgm_tree(tmp_path, {"class000": 6, "class001 copy": 6})
-        with pytest.raises(DatasetError, match="whitespace"):
-            index_dataset(tmp_path, train_per_class=5)
+        # the bad name sorts after a class that is fine; a class name is
+        # written into ASCII template headers
+        for bad, reason in (("class001 copy", "whitespace"), ("classé", "not ASCII")):
+            root = tmp_path / reason.replace(" ", "_")
+            make_empty_pgm_tree(root, {"class000": 6, bad: 6})
+            with pytest.raises(DatasetError, match=reason):
+                index_dataset(root, train_per_class=5)
 
     def test_missing_root_is_error(self, tmp_path):
         with pytest.raises(DatasetError):
@@ -111,12 +114,16 @@ class TestRunTrain:
         run_train(index, cfg, first)
         entries = sorted((tmp_path / "cache").rglob("*.irt"))
         whole = entries[0].read_bytes()
-        entries[0].write_bytes(whole[: len(whole) // 2])  # as a crash mid-write would
-        with caplog.at_level("WARNING"):
-            run_train(index, cfg, second)
-        assert "corrupt template-cache entry" in caplog.text
-        assert entries[0].read_bytes() == whole
-        assert second.read_bytes() == first.read_bytes()
+        nan_value = whole[: whole.index(b"\n") + 1] + np.float64(np.nan).tobytes()
+        # cut as a crash mid-write would, or holding a NaN value
+        for corrupt in (whole[: len(whole) // 2], nan_value + whole[len(nan_value) :]):
+            entries[0].write_bytes(corrupt)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                run_train(index, cfg, second)
+            assert "corrupt template-cache entry" in caplog.text
+            assert entries[0].read_bytes() == whole
+            assert second.read_bytes() == first.read_bytes()
         # no temporary file is left beside the entries
         assert sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file()) == entries
 

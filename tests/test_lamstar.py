@@ -70,7 +70,7 @@ def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
     offsets = np.cumsum([0] + [m.n_neurons for m in net.modules])
     best_shift, best_scores = None, None
     for shift in range(-shift_range, shift_range + 1):
-        cols, _ = subword_matrix(np.roll(t.values, shift, axis=1))
+        cols = subword_matrix(np.roll(t.values, shift, axis=1))
         gids = []
         for m, module in enumerate(net.modules):
             if module.n_neurons == 0 or not cols[m].any():
@@ -87,45 +87,43 @@ def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
 
 class TestUnitColumns:
     def test_three_four_five(self):
-        cols, zero = subword_matrix(np.array([[3.0], [4.0]]))
+        cols = subword_matrix(np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(cols, [[0.6, 0.8]])
-        assert not zero.any()
 
     def test_unit_vector_unchanged(self):
         v = np.array([0.0, 1.0, 0.0])
-        cols, _ = subword_matrix(v[:, None])
+        cols = subword_matrix(v[:, None])
         np.testing.assert_allclose(cols[0], v, atol=1e-15)
 
     def test_zero_vector_flagged(self):
-        cols, zero = subword_matrix(np.zeros((4, 1)))
-        assert zero.tolist() == [True]
-        np.testing.assert_array_equal(cols[0], np.zeros(4))
+        cols = subword_matrix(np.zeros((4, 1)))
+        np.testing.assert_array_equal(cols, np.zeros((1, 4)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=20))
     def test_unit_norm_or_flagged(self, values):
-        cols, zero = subword_matrix(np.array(values)[:, None])
-        if zero[0]:
+        cols = subword_matrix(np.array(values)[:, None])
+        if not cols[0].any():
             assert np.linalg.norm(values) < 1e-9
         else:
             assert abs(np.linalg.norm(cols[0]) - 1.0) <= 1e-9
 
     def test_full_size_template(self):
         vals = np.random.default_rng(0).random((20, 480))
-        cols, zero = subword_matrix(vals)
-        assert cols.shape == (480, 20) and zero.shape == (480,)
+        cols = subword_matrix(vals)
+        assert cols.shape == (480, 20)
         for j in (0, 1, 239, 479):  # row j is column j, in column order
             np.testing.assert_allclose(cols[j], vals[:, j] / np.linalg.norm(vals[:, j]), atol=1e-15)
 
     def test_toy_template(self):
-        cols, zero = subword_matrix(np.ones((2, 3)))
-        assert cols.shape == (3, 2) and not zero.any()
+        cols = subword_matrix(np.ones((2, 3)))
+        assert cols.shape == (3, 2) and cols.all()
 
     def test_zero_column_flagged(self):
         vals = np.ones((4, 5))
         vals[:, 2] = 0.0
-        cols, zero = subword_matrix(vals)
-        assert zero.tolist() == [False, False, True, False, False]
+        cols = subword_matrix(vals)
+        assert cols.any(axis=1).tolist() == [True, True, False, True, True]
         np.testing.assert_array_equal(cols[2], np.zeros(4))
 
 
@@ -342,19 +340,23 @@ class TestClassify:
     @pytest.mark.parametrize("normalized", [False, True])
     def test_matches_per_shift_reference(self, normalized):
         net, _, _ = self.trained_net()
-        net.config = LamstarConfig(normalized=normalized)
         rng = np.random.default_rng(11)
         probes = [IrisTemplate(rng.random((4, 12))) for _ in range(8)]
+        probes.append(IrisTemplate(rng.random((4, 12)) * (np.arange(12) % 3 > 0)))
         # every shift of an all-zero or constant template scores the same
         ties = [IrisTemplate(np.zeros((4, 12))), IrisTemplate(np.full((4, 12), 0.5))]
-        for shift_range in range(4):
-            for t in probes + ties:
-                pred = classify(net, t, shift_range=shift_range)
-                class_index, shift, scores = reference_classify(net, t, shift_range)
-                assert (pred.class_index, pred.shift) == (class_index, shift)
-                np.testing.assert_array_equal(pred.scores, scores)
-            for t in ties:  # the first shift in ascending order wins a tie
-                assert classify(net, t, shift_range=shift_range).shift == -shift_range
+        # below a threshold of 0 every nonzero column wins and only the
+        # all-zero columns abstain
+        for threshold in (0.95, -1.0):
+            net.config = LamstarConfig(normalized=normalized, winner_threshold=threshold)
+            for shift_range in range(4):
+                for t in probes + ties:
+                    pred = classify(net, t, shift_range=shift_range)
+                    class_index, shift, scores = reference_classify(net, t, shift_range)
+                    assert (pred.class_index, pred.shift) == (class_index, shift)
+                    np.testing.assert_array_equal(pred.scores, scores)
+                for t in ties:  # the first shift in ascending order wins a tie
+                    assert classify(net, t, shift_range=shift_range).shift == -shift_range
 
 
     @pytest.fixture(scope="class")

@@ -226,6 +226,17 @@ class TestTemplateFile:
         with pytest.raises(FormatError):
             load_template(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        values = np.zeros((4, 8))
+        values[1, 5] = value
+        p = tmp_path / "t.irt"
+        p.write_bytes(b"IRT1 4 8 x\n" + values.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="not finite"):
+            load_template(p)
+        with pytest.raises(ValueError, match="finite"):
+            IrisTemplate(values)
+
     def test_non_numeric_header_field_rejected(self, tmp_path):
         p = tmp_path / "t.irt"
         # also dimensions below 1; the last body is (-2) * (-4) * 8 bytes long
