@@ -4,8 +4,9 @@ Dataset layout: <root>/<class_name>/<image>.pgm. Per class the first
 train_per_class files in lexicographic order are the training split and
 the remainder the test split; classes without a test remainder are
 skipped. Templates are cached on disk keyed by a digest of the
-segmentation/normalization configuration, so retraining or evaluating the
-second classifier variant never recomputes them.
+segmentation/normalization configuration and a hash of the image bytes,
+so retraining or evaluating the second classifier variant never
+recomputes them, and a replaced image never gets its old template.
 """
 
 from __future__ import annotations
@@ -253,7 +254,8 @@ def _templates_for(
     failed: list[DatasetEntry] = []
     for entry in entries:
         label = index.class_names[entry.class_id]
-        cached = cache_dir / digest / label / (entry.path.stem + ".irt")
+        image_hash = hashlib.sha256(entry.path.read_bytes()).hexdigest()[:16]
+        cached = cache_dir / digest / label / image_hash / (entry.path.stem + ".irt")
         t = _load_cached(cached)
         if t is None:
             try:

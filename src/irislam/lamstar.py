@@ -1,7 +1,8 @@
 """Winner-take-all LAMSTAR-style classifier.
 
 Each template column is a subword handled by its own SOM module: a
-dynamically grown store of unit-norm neuron weight vectors. A subword's
+dynamically grown set of unit-norm neuron weight vectors, kept for all
+modules in one padded store on the network. A subword's
 winner is the neuron with the highest dot product, provided it clears the
 winner threshold; otherwise a new neuron is created from the subword
 (training) or the module abstains (inference). A zero-initialized
@@ -36,22 +37,6 @@ class LamstarConfig:
     epochs: int = 10
 
 
-@dataclass(eq=False)
-class SomModule:
-    """Ordered store of unit-norm neuron weight vectors for one column."""
-
-    dim: int
-    weights: np.ndarray = None  # (n_neurons, dim)
-
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.empty((0, self.dim), dtype=np.float64)
-
-    @property
-    def n_neurons(self) -> int:
-        return self.weights.shape[0]
-
-
 def subword_matrix(values: np.ndarray) -> np.ndarray:
     """Template columns as unit-norm subwords: a (num_columns, dim) matrix
     in column order. A (near-)zero column becomes the all-zero vector."""
@@ -61,34 +46,6 @@ def subword_matrix(values: np.ndarray) -> np.ndarray:
     cols[zero] = 0.0
     cols[~zero] /= norms[~zero, None]
     return cols
-
-
-def som_present(module: SomModule, s: np.ndarray, cfg: LamstarConfig) -> tuple[int | None, bool]:
-    """Present one unit-norm subword to one module during training.
-
-    Returns (winner index, created). The best-matching neuron wins if its
-    dot product clears cfg.winner_threshold (ties go to the lowest index)
-    and is pulled toward the subword by w <- w + alpha*(s - w)
-    (renormalized each step) until its dot product reaches
-    cfg.convergence_target; otherwise a new neuron equal to the subword is
-    appended. The all-zero vector abstains.
-    """
-    if not s.any():
-        return None, False
-    if module.n_neurons:
-        dots = module.weights @ s
-        winner = int(np.argmax(dots))
-        if dots[winner] >= cfg.winner_threshold:
-            w = module.weights[winner]
-            for _ in range(cfg.max_update_iters):
-                if w @ s >= cfg.convergence_target:
-                    break
-                w = w + cfg.learning_rate * (s - w)
-                w = w / np.linalg.norm(w)
-            module.weights[winner] = w
-            return winner, False
-    module.weights = np.vstack([module.weights, s[None, :]])
-    return module.n_neurons - 1, True
 
 
 class DecisionLayer:
@@ -135,7 +92,12 @@ class TrainingLog:
 
 
 class LamstarNetwork:
-    """One SOM module per template column plus the decision layer."""
+    """One SOM module per template column plus the decision layer.
+
+    Module m's neurons are neurons[m, :counts[m]]. The store's capacity
+    (its second axis) is max(1, counts.max()), and the slots past a
+    module's count hold zeros.
+    """
 
     def __init__(self, num_modules: int, subword_dim: int, num_classes: int,
                  config: LamstarConfig = LamstarConfig()):
@@ -145,7 +107,8 @@ class LamstarNetwork:
         self.subword_dim = subword_dim
         self.num_classes = num_classes
         self.config = config
-        self.modules = [SomModule(dim=subword_dim) for _ in range(num_modules)]
+        self.neurons = np.zeros((num_modules, 1, subword_dim))
+        self.counts = np.zeros(num_modules, dtype=np.int64)
         self.decision: DecisionLayer | None = None  # set by _freeze
 
     def _check_template(self, t: IrisTemplate) -> None:
@@ -156,15 +119,11 @@ class LamstarNetwork:
             )
 
     def _freeze(self) -> None:
-        """End neuron growth: create the zeroed decision layer and pack the
-        neuron weights, padded to (num_modules, max_n, dim) with a validity
-        mask, for the winner search."""
-        counts = np.array([m.n_neurons for m in self.modules])
-        self.decision = DecisionLayer(counts, self.num_classes)
-        valid = np.arange(max(1, counts.max())) < counts[:, None]
-        packed = np.zeros((*valid.shape, self.subword_dim))
-        packed[valid] = np.concatenate([m.weights for m in self.modules])  # global neuron order
-        self._packed, self._valid = packed, valid
+        """End neuron growth: create the zeroed decision layer, whose global
+        neuron order is the store's row-major order, and mark the store's
+        occupied slots for the winner search."""
+        self.decision = DecisionLayer(self.counts, self.num_classes)
+        self._valid = np.arange(self.neurons.shape[1]) < self.counts[:, None]
 
     def _find_winners(self, subwords: np.ndarray) -> np.ndarray:
         """Global neuron id of the winner per module, -1 for abstentions.
@@ -172,11 +131,45 @@ class LamstarNetwork:
         memory layout; an all-zero row abstains."""
         # One layout for every caller fixes the order each dot is summed in.
         subwords = np.ascontiguousarray(subwords)
-        dots = np.matmul(self._packed, subwords[..., None])[..., 0]
+        dots = np.matmul(self.neurons, subwords[..., None])[..., 0]
         dots[..., ~self._valid] = -np.inf
         ok = (dots.max(axis=-1) >= self.config.winner_threshold) & subwords.any(axis=-1)
         gids = self.decision.offsets[:-1] + np.argmax(dots, axis=-1)
         return np.where(ok, gids, -1)
+
+
+def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None, bool]:
+    """Present one unit-norm subword to module m during training.
+
+    Returns (winner index, created). The best-matching neuron wins if its
+    dot product clears winner_threshold (ties go to the lowest index) and
+    is pulled toward the subword by w <- w + alpha*(s - w) (renormalized
+    each step) until its dot product reaches convergence_target;
+    otherwise a new neuron equal to the subword is appended, and when
+    module m is full every module first gains one zero slot. The all-zero
+    vector abstains.
+    """
+    if not s.any():
+        return None, False
+    cfg = net.config
+    n = int(net.counts[m])
+    if n:
+        dots = net.neurons[m, :n] @ s
+        winner = int(np.argmax(dots))
+        if dots[winner] >= cfg.winner_threshold:
+            w = net.neurons[m, winner]
+            for _ in range(cfg.max_update_iters):
+                if w @ s >= cfg.convergence_target:
+                    break
+                w = w + cfg.learning_rate * (s - w)
+                w = w / np.linalg.norm(w)
+            net.neurons[m, winner] = w
+            return winner, False
+    if n == net.neurons.shape[1]:
+        net.neurons = np.pad(net.neurons, ((0, 0), (0, 1), (0, 0)))
+    net.neurons[m, n] = s
+    net.counts[m] += 1
+    return n, True
 
 
 def train(
@@ -206,7 +199,7 @@ def train(
     # SOM phase: sequential over templates, dynamic creation per module.
     for cols in columns:
         for m in range(net.num_modules):
-            som_present(net.modules[m], cols[m], cfg)
+            som_present(net, m, cols[m])
 
     net._freeze()
 
@@ -230,7 +223,7 @@ def train(
             break
 
     return TrainingLog(
-        neuron_counts=[m.n_neurons for m in net.modules],
+        neuron_counts=net.counts.tolist(),
         epoch_errors=epoch_errors,
         train_seconds=time.perf_counter() - start,
     )
@@ -282,9 +275,9 @@ def save_model(net: LamstarNetwork, path: str | Path) -> None:
         f"LNS1 {net.num_modules} {net.subword_dim} {net.num_classes} "
         f"{1 if cfg.normalized else 0} {cfg.delta!r} {cfg.winner_threshold!r}\n".encode("ascii")
     ]
-    for m in net.modules:
-        parts.append(np.array(m.n_neurons, dtype="<u4").tobytes())
-        parts.append(m.weights.astype("<f8").tobytes())
+    for n, block in zip(net.counts, net.neurons):
+        parts.append(np.array(n, dtype="<u4").tobytes())
+        parts.append(block[:n].astype("<f8").tobytes())
     dec = net.decision
     gids, classes = np.nonzero((dec.weights != 0) | (dec.reward_counts != 0))
     module = np.searchsorted(dec.offsets, gids, side="right") - 1
@@ -320,23 +313,20 @@ def load_model(path: str | Path) -> LamstarNetwork:
         raise FormatError(f"LNS1 header needs finite threshold and delta > 0: {data[:nl]!r}")
     if 4 * num_modules > len(data) - nl - 1:  # each module needs its neuron count
         raise FormatError(f"LNS1 file truncated: too short for {num_modules} modules")
-    net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
+    counts = np.zeros(num_modules, dtype=np.int64)
+    blocks = []
     pos = nl + 1
-    for m in net.modules:
+    for m in range(num_modules):
         if pos + 4 > len(data):
             raise FormatError("LNS1 file truncated in the neuron blocks")
-        n = int(np.frombuffer(data, dtype="<u4", count=1, offset=pos)[0])
-        pos += 4
-        if pos + n * subword_dim * 8 > len(data):
+        counts[m] = n = int.from_bytes(data[pos : pos + 4], "little")
+        end = pos + 4 + n * subword_dim * 8
+        if end > len(data):
             raise FormatError("LNS1 file truncated in the neuron blocks")
-        m.weights = (
-            np.frombuffer(data, dtype="<f8", count=n * subword_dim, offset=pos)
-            .reshape(n, subword_dim)
-            .copy()
-        )
-        pos += n * subword_dim * 8
-    net._freeze()
-    if not np.isfinite(net._packed).all():
+        blocks.append(data[pos + 4 : end])
+        pos = end
+    weights = np.frombuffer(b"".join(blocks), dtype="<f8").reshape(-1, subword_dim)
+    if not np.isfinite(weights).all():
         raise FormatError("LNS1 neuron weight is not finite")
     body = len(data) - pos - 8
     if body < 0 or body % _RECORD.itemsize:
@@ -349,14 +339,23 @@ def load_model(path: str | Path) -> LamstarNetwork:
     module = records["module"].astype(np.int64)
     neuron = records["neuron"].astype(np.int64)
     classes = records["cls"].astype(np.int64)
-    dec = net.decision
     # A module index past the last module reads a neuron count of 0.
-    neuron_limit = np.append(np.diff(dec.offsets), 0)[np.minimum(module, num_modules)]
+    neuron_limit = np.append(counts, 0)[np.minimum(module, num_modules)]
     if np.any((neuron >= neuron_limit) | (classes >= num_classes)
-              | (records["rewards"] > np.iinfo(dec.reward_counts.dtype).max)):
+              | (records["rewards"] > np.iinfo(np.int64).max)):
         raise FormatError("LNS1 decision record out of range")
+    # Every trained link touches all classes, so records name each class;
+    # this bounds the dense decision layer before it is allocated.
+    if n_records and classes.max() + 1 < num_classes:
+        raise FormatError(f"LNS1 header names {num_classes} classes, records only {classes.max() + 1}")
     if not np.isfinite(records["weight"]).all():
         raise FormatError("LNS1 link weight is not finite")
+    net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
+    net.counts = counts
+    net.neurons = np.zeros((num_modules, max(1, counts.max()), subword_dim))
+    net._freeze()
+    net.neurons[net._valid] = weights  # row-major order is the file's module order
+    dec = net.decision
     gids = dec.offsets[module] + neuron
     dec.weights[gids, classes] = records["weight"]
     dec.reward_counts[gids, classes] = records["rewards"]

@@ -23,7 +23,6 @@ from irislam.imaging import GradientField
 from irislam.lamstar import (
     DecisionLayer,
     LamstarConfig,
-    SomModule,
     classify,
     load_model,
     som_present,
@@ -157,23 +156,24 @@ class TestSomGate:
         for _ in range(4000):  # fixed point: presenting a stored vector is a no-op
             s = rng.normal(size=6)
             s /= np.linalg.norm(s)
-            module = SomModule(dim=6, weights=s[None, :].copy())
-            winner, created = som_present(module, s, cfg)
+            net = LamstarNetwork(1, 6, 1, cfg)
+            net.neurons[0, 0], net.counts[0] = s, 1
+            winner, created = som_present(net, 0, s)
             ok &= winner == 0 and not created
-            ok &= float(np.abs(module.weights[0] - s).max()) <= 1e-12
+            ok &= float(np.abs(net.neurons[0, 0] - s).max()) <= 1e-12
 
         for _ in range(3000):  # growth bound: neurons <= distinct subwords
             p = int(rng.integers(1, 5))
             pool = [rng.normal(size=6) for _ in range(p)]
             pool = [s / np.linalg.norm(s) for s in pool]
             picks = rng.integers(0, p, size=6)
-            module = SomModule(dim=6)
+            net = LamstarNetwork(1, 6, 1, cfg)
             for i in picks:
-                som_present(module, pool[i], cfg)
+                som_present(net, 0, pool[i])
             distinct = len(set(picks.tolist()))
-            ok &= module.n_neurons <= distinct
+            ok &= net.counts[0] <= distinct
             if distinct == 1:
-                ok &= module.n_neurons == 1
+                ok &= net.counts[0] == 1
 
         for _ in range(3000):  # contraction: each pull shrinks 1 - dot by >= 5x
             w = rng.normal(size=6)
@@ -287,15 +287,15 @@ class TestScoreAudit:
             pred = classify(net, t, shift_range=2)
             shifted = np.roll(t.values, pred.shift, axis=1)
             rewalk = np.zeros(net.num_classes)
-            for m, module in enumerate(net.modules):
+            for m in range(net.num_modules):
                 norm = np.linalg.norm(shifted[:, m])
-                if norm < 1e-12 or module.n_neurons == 0:
+                if norm < 1e-12 or net.counts[m] == 0:
                     continue
-                dots = module.weights @ (shifted[:, m] / norm)
+                dots = net.neurons[m, : net.counts[m]] @ (shifted[:, m] / norm)
                 winner = int(np.argmax(dots))
                 if dots[winner] < net.config.winner_threshold:
                     continue
-                gid = sum(k.n_neurons for k in net.modules[:m]) + winner
+                gid = int(net.counts[:m].sum()) + winner
                 for c in range(net.num_classes):
                     w = net.decision.weights[gid, c]
                     if net.config.normalized:

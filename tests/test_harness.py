@@ -1,4 +1,5 @@
 import math
+import shutil
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from irislam import harness
 from irislam.errors import ConfigError, DatasetError
 from irislam.harness import (
     HarnessConfig,
@@ -126,6 +128,27 @@ class TestRunTrain:
             assert second.read_bytes() == first.read_bytes()
         # no temporary file is left beside the entries
         assert sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file()) == entries
+
+    def test_replaced_image_is_recomputed(self, trained, tmp_path, monkeypatch):
+        root, _, cfg, first, _ = trained
+        data = tmp_path / "data"
+        shutil.copytree(root, data)  # with the warm default cache
+        index = index_dataset(data, cfg.train_per_class)
+        second = tmp_path / "second.lns"
+        # another eye under the same name
+        target, other = index.split("train")[0].path, index.split("train")[-1].path
+        shutil.copyfile(other, target)
+        computed = []
+        compute_template = harness.compute_template
+
+        def spy(path, label, cfg):
+            computed.append(path)
+            return compute_template(path, label, cfg)
+
+        monkeypatch.setattr(harness, "compute_template", spy)
+        run_train(index, cfg, second)
+        assert computed == [target]
+        assert second.read_bytes() != first.read_bytes()
 
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex

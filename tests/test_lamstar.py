@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from irislam.errors import FormatError
 from irislam.lamstar import (
     DecisionLayer,
     LamstarConfig,
     LamstarNetwork,
-    SomModule,
     classify,
     load_model,
     save_model,
@@ -41,16 +41,16 @@ def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
     weights, divided by max(1, reward count) in the normalized variant."""
     scores = np.zeros(net.num_classes)
     dec = net.decision
-    for m, module in enumerate(net.modules):
+    for m in range(net.num_modules):
         column = t.values[:, m]
         norm = np.linalg.norm(column)
-        if norm < 1e-12 or module.n_neurons == 0:
+        if norm < 1e-12 or net.counts[m] == 0:
             continue
-        dots = module.weights @ (column / norm)
+        dots = net.neurons[m, : net.counts[m]] @ (column / norm)
         winner = int(np.argmax(dots))
         if dots[winner] < net.config.winner_threshold:
             continue
-        gid = sum(k.n_neurons for k in net.modules[:m]) + winner
+        gid = int(net.counts[:m].sum()) + winner
         for c in range(net.num_classes):
             w = dec.weights[gid, c]
             if net.config.normalized:
@@ -67,15 +67,15 @@ def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
     link weights. The first shift with the highest top score wins.
     Returns (class index, shift, scores)."""
     eff = net.decision.effective_matrix(net.config.normalized)
-    offsets = np.cumsum([0] + [m.n_neurons for m in net.modules])
+    offsets = np.cumsum([0, *net.counts])
     best_shift, best_scores = None, None
     for shift in range(-shift_range, shift_range + 1):
         cols = subword_matrix(np.roll(t.values, shift, axis=1))
         gids = []
-        for m, module in enumerate(net.modules):
-            if module.n_neurons == 0 or not cols[m].any():
+        for m in range(net.num_modules):
+            if net.counts[m] == 0 or not cols[m].any():
                 continue
-            dots = module.weights @ cols[m]
+            dots = net.neurons[m, : net.counts[m]] @ cols[m]
             winner = int(np.argmax(dots))
             if dots[winner] >= net.config.winner_threshold:
                 gids.append(offsets[m] + winner)
@@ -128,34 +128,38 @@ class TestUnitColumns:
 
 
 class TestSomPresent:
-    cfg = LamstarConfig()
-
     def test_first_pattern_creates_neuron(self):
-        module = SomModule(dim=3)
-        winner, created = som_present(module, unit([1.0, 2.0, 2.0]), self.cfg)
+        net = LamstarNetwork(1, 3, 1)
+        winner, created = som_present(net, 0, unit([1.0, 2.0, 2.0]))
         assert (winner, created) == (0, True)
-        assert module.n_neurons == 1
+        assert net.counts[0] == 1
 
     def test_same_pattern_reuses_neuron(self):
-        module = SomModule(dim=3)
+        net = LamstarNetwork(1, 3, 1)
         s = unit([1.0, 2.0, 2.0])
-        som_present(module, s, self.cfg)
-        winner, created = som_present(module, s, self.cfg)
+        som_present(net, 0, s)
+        winner, created = som_present(net, 0, s)
         assert (winner, created) == (0, False)
-        assert module.n_neurons == 1
-        assert module.weights[0] @ s == pytest.approx(1.0, abs=1e-9)
+        assert net.counts[0] == 1
+        assert net.neurons[0, 0] @ s == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_pattern_creates_new_neuron(self):
-        module = SomModule(dim=2)
-        som_present(module, unit([1.0, 0.0]), self.cfg)
-        winner, created = som_present(module, unit([0.0, 1.0]), self.cfg)
+        net = LamstarNetwork(1, 2, 1)
+        som_present(net, 0, unit([1.0, 0.0]))
+        winner, created = som_present(net, 0, unit([0.0, 1.0]))
         assert (winner, created) == (1, True)
 
+    def test_tie_goes_to_lowest_index(self):
+        net = LamstarNetwork(1, 2, 1, LamstarConfig(winner_threshold=0.5))
+        som_present(net, 0, unit([1.0, 0.0]))
+        som_present(net, 0, unit([0.0, 1.0]))
+        assert som_present(net, 0, unit([1.0, 1.0])) == (0, False)
+
     def test_zero_subword_abstains(self):
-        module = SomModule(dim=2)
-        winner, created = som_present(module, np.zeros(2), self.cfg)
+        net = LamstarNetwork(1, 2, 1)
+        winner, created = som_present(net, 0, np.zeros(2))
         assert winner is None and not created
-        assert module.n_neurons == 0
+        assert net.counts[0] == 0
 
     def test_update_contraction_rate(self):
         # one raw step of w <- w + 0.8*(s - w) shrinks 1 - dot by at least 5x;
@@ -163,22 +167,69 @@ class TestSomPresent:
         rng = np.random.default_rng(3)
         cfg = LamstarConfig(winner_threshold=-1.0, convergence_target=2.0, max_update_iters=1)
         for _ in range(200):
-            module = SomModule(dim=6)
+            net = LamstarNetwork(1, 6, 1, cfg)
             w0 = rng.normal(size=6)
             s = unit(rng.normal(size=6))
-            module.weights = (w0 / np.linalg.norm(w0))[None, :]
-            gap0 = 1.0 - module.weights[0] @ s
-            som_present(module, s, cfg)
-            gap1 = 1.0 - module.weights[0] @ s
+            net.neurons[0, 0] = w0 / np.linalg.norm(w0)
+            net.counts[0] = 1
+            gap0 = 1.0 - net.neurons[0, 0] @ s
+            som_present(net, 0, s)
+            gap1 = 1.0 - net.neurons[0, 0] @ s
             assert gap1 <= 0.2 * gap0 + 1e-12
 
     def test_fixed_point(self):
         s = unit([0.3, -0.5, 0.8])
-        module = SomModule(dim=3)
-        som_present(module, s, self.cfg)
-        w_before = module.weights.copy()
-        som_present(module, s, self.cfg)
-        np.testing.assert_allclose(module.weights, w_before, atol=1e-12)
+        net = LamstarNetwork(1, 3, 1)
+        som_present(net, 0, s)
+        w_before = net.neurons.copy()
+        som_present(net, 0, s)
+        np.testing.assert_allclose(net.neurons, w_before, atol=1e-12)
+
+
+def reference_store(templates, cfg: LamstarConfig, num_modules: int) -> list[np.ndarray]:
+    """Independent per-module SOM phase: each module's neurons in their own
+    array, a new neuron appended with np.vstack."""
+    modules = [np.empty((0, templates[0].radial_res)) for _ in range(num_modules)]
+    for t in templates:
+        for m, s in enumerate(subword_matrix(t.values)):
+            if not s.any():
+                continue
+            if len(modules[m]):
+                dots = modules[m] @ s
+                winner = int(np.argmax(dots))
+                if dots[winner] >= cfg.winner_threshold:
+                    w = modules[m][winner]
+                    for _ in range(cfg.max_update_iters):
+                        if w @ s >= cfg.convergence_target:
+                            break
+                        w = w + cfg.learning_rate * (s - w)
+                        w = w / np.linalg.norm(w)
+                    modules[m][winner] = w
+                    continue
+            modules[m] = np.vstack([modules[m], s])
+    return modules
+
+
+class TestNeuronStore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([0.95, 0.5, -1.0]))
+    def test_matches_per_module_reference(self, data, threshold):
+        num_modules = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(1, 4))
+        values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), dim, num_modules),
+                                  elements=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])))
+        # all-zero columns in every template leave those modules empty
+        values[..., data.draw(arrays(bool, num_modules))] = 0.0
+        templates = [IrisTemplate(v) for v in values]
+        cfg = LamstarConfig(winner_threshold=threshold)
+        net = LamstarNetwork(num_modules, dim, 1, cfg)
+        log = train(net, templates, [0] * len(templates))
+        reference = reference_store(templates, cfg, num_modules)
+        assert net.counts.tolist() == log.neuron_counts == [len(r) for r in reference]
+        assert net.neurons.shape == (num_modules, max(1, net.counts.max()), dim)
+        for m, neurons in enumerate(reference):
+            assert net.neurons[m, : net.counts[m]].tobytes() == neurons.tobytes()
+            assert not net.neurons[m, net.counts[m] :].any()
 
 
 def toy_templates():
@@ -219,14 +270,13 @@ class TestTrain:
         labels = list(rng.integers(0, 3, size=10))
         net = LamstarNetwork(6, 4, 3)
         train(net, templates, [int(l) for l in labels])
-        for m in net.modules:
-            assert 1 <= m.n_neurons <= 10
+        assert ((net.counts >= 1) & (net.counts <= 10)).all()
 
     def test_identical_subwords_grow_one_neuron(self):
         templates = [IrisTemplate(np.ones((3, 4))) for _ in range(5)]
         net = LamstarNetwork(4, 3, 2)
         train(net, templates, [0, 0, 0, 0, 0])
-        assert all(m.n_neurons == 1 for m in net.modules)
+        assert net.counts.tolist() == [1, 1, 1, 1]
 
     def test_inconsistent_labels_do_not_crash(self):
         t = IrisTemplate(np.ones((3, 4)))
@@ -255,8 +305,8 @@ class TestTrain:
             net = LamstarNetwork(10, 5, 4)
             train(net, templates, [i % 4 for i in range(8)])
             nets.append(net)
-        for m0, m1 in zip(nets[0].modules, nets[1].modules):
-            np.testing.assert_array_equal(m0.weights, m1.weights)
+        np.testing.assert_array_equal(nets[0].counts, nets[1].counts)
+        np.testing.assert_array_equal(nets[0].neurons, nets[1].neurons)
         np.testing.assert_array_equal(nets[0].decision.weights, nets[1].decision.weights)
         np.testing.assert_array_equal(nets[0].decision.reward_counts, nets[1].decision.reward_counts)
 
@@ -317,11 +367,11 @@ class TestClassify:
 
     def test_never_mutates_network(self):
         net, templates, _ = self.trained_net()
-        weights_before = [m.weights.copy() for m in net.modules]
+        neurons_before, counts_before = net.neurons.copy(), net.counts.copy()
         decision_before = net.decision.weights.copy()
         classify(net, templates[0], shift_range=4)
-        for before, m in zip(weights_before, net.modules):
-            np.testing.assert_array_equal(before, m.weights)
+        np.testing.assert_array_equal(neurons_before, net.neurons)
+        np.testing.assert_array_equal(counts_before, net.counts)
         np.testing.assert_array_equal(decision_before, net.decision.weights)
 
     def test_negative_shift_range_rejected(self):
@@ -517,13 +567,27 @@ class TestModelFile:
         b"LNS1 1000000000 20 2 0 0.05 0.95",
     ], ids=["zero_modules", "zero_dim", "negative_classes", "modules_exceed_file"])
     def test_bad_header_count_rejected_before_building(self, tmp_path, monkeypatch, header):
-        def no_module(*args, **kwargs):
-            raise AssertionError("SomModule built for a file that must be rejected")
+        def no_network(*args, **kwargs):
+            raise AssertionError("LamstarNetwork built for a file that must be rejected")
 
-        monkeypatch.setattr("irislam.lamstar.SomModule", no_module)
+        monkeypatch.setattr("irislam.lamstar.LamstarNetwork", no_network)
         p = tmp_path / "bad.lns"
         p.write_bytes(header + b"\n" + bytes(8))
         with pytest.raises(FormatError):
+            load_model(p)
+
+    def test_class_count_beyond_records_rejected_before_building(self, tmp_path, monkeypatch):
+        def no_layer(*args, **kwargs):
+            raise AssertionError("DecisionLayer built for a file that must be rejected")
+
+        data = self.toy_model_bytes(tmp_path)
+        nl = data.index(b"\n")
+        fields = data[:nl].split()
+        fields[3] = b"99999999"
+        monkeypatch.setattr("irislam.lamstar.DecisionLayer", no_layer)
+        p = tmp_path / "bad.lns"
+        p.write_bytes(b" ".join(fields) + data[nl:])
+        with pytest.raises(FormatError, match="classes"):
             load_model(p)
 
     @pytest.mark.parametrize("index, token", [
