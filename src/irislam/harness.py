@@ -240,6 +240,18 @@ def _load_cached(path: Path) -> IrisTemplate | None:
         return None
 
 
+def _drop_replaced(entry: Path) -> None:
+    """Delete the entries an image of the same name left under other image
+    hashes in entry's class directory, and any hash directory left empty.
+    Entries under other configuration digests stay valid for those."""
+    for hash_dir in entry.parent.parent.iterdir():
+        stale = hash_dir / entry.name
+        if hash_dir != entry.parent and stale.is_file():
+            stale.unlink()
+            if not any(hash_dir.iterdir()):
+                hash_dir.rmdir()
+
+
 def _templates_for(
     entries: list[DatasetEntry],
     index: DatasetIndex,
@@ -270,6 +282,7 @@ def _templates_for(
             partial = cached.with_name(cached.name + ".partial")
             save_template(t, partial)
             os.replace(partial, cached)
+            _drop_replaced(cached)
         templates.append(t)
         labels.append(entry.class_id)
     return templates, labels, failed

@@ -110,6 +110,10 @@ class LamstarNetwork:
         self.neurons = np.zeros((num_modules, 1, subword_dim))
         self.counts = np.zeros(num_modules, dtype=np.int64)
         self.decision: DecisionLayer | None = None  # set by _freeze
+        # Effective link weights (neurons x classes) of config's variant,
+        # fixed when the network becomes inference-ready (end of train,
+        # load_model); classify reads them.
+        self.link_scores: np.ndarray | None = None
 
     def _check_template(self, t: IrisTemplate) -> None:
         if t.radial_res != self.subword_dim or t.angular_res != self.num_modules:
@@ -221,6 +225,7 @@ def train(
         epoch_errors.append(errors)
         if errors == 0:
             break
+    net.link_scores = dec.effective_matrix(cfg.normalized)
 
     return TrainingLog(
         neuron_counts=net.counts.tolist(),
@@ -237,12 +242,12 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     ascending order). Modules with no neuron above the winner threshold
     abstain. Ties in the final argmax go to the lowest class index.
     """
-    if net.decision is None:
+    if net.link_scores is None:
         raise ValueError("network has not been trained")
     if shift_range < 0:
         raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
-    eff = net.decision.effective_matrix(net.config.normalized)
+    eff = net.link_scores
     cols = subword_matrix(t.values)
     shifts = np.arange(-shift_range, shift_range + 1)
     # Module m at shift s reads column m - s, as np.roll(values, s, axis=1) does.
@@ -359,4 +364,5 @@ def load_model(path: str | Path) -> LamstarNetwork:
     gids = dec.offsets[module] + neuron
     dec.weights[gids, classes] = records["weight"]
     dec.reward_counts[gids, classes] = records["rewards"]
+    net.link_scores = dec.effective_matrix(cfg.normalized)
     return net

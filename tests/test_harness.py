@@ -149,6 +149,10 @@ class TestRunTrain:
         run_train(index, cfg, second)
         assert computed == [target]
         assert second.read_bytes() != first.read_bytes()
+        # the old image's entry is gone, with its emptied hash directory
+        class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
+        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
+        assert all(any(d.iterdir()) for d in class_cache.iterdir())
 
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex

@@ -3,6 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import fft as sp_fft
+from scipy import ndimage
 
 from irislam.errors import LocalizationError
 from irislam.imaging import GradientField, GrayImage, compute_gradient
@@ -63,6 +68,39 @@ def brute_nms(field: GradientField) -> np.ndarray:
             if mag[y, x] >= m1 and mag[y, x] >= m2:
                 out[y, x] = mag[y, x]
     return out
+
+
+def full_grid_nms(field: GradientField) -> np.ndarray:
+    """The suppression rule evaluated at every pixel with whole-grid
+    sampling, the vectorized form of brute_nms."""
+    mag = field.magnitude
+    u, v = np.cos(field.orientation), np.sin(field.orientation)
+    s = np.maximum(np.abs(u), np.abs(v))
+    s[s == 0] = 1.0
+    dx, dy = u / s, v / s
+    ys, xs = np.mgrid[0 : mag.shape[0], 0 : mag.shape[1]].astype(np.float64)
+    fwd = ndimage.map_coordinates(mag, [ys + dy, xs + dx], order=1, mode="nearest")
+    bwd = ndimage.map_coordinates(mag, [ys - dy, xs - dx], order=1, mode="nearest")
+    return np.where((mag >= fwd) & (mag >= bwd), mag, 0.0)
+
+
+def fft64_hough(edges: np.ndarray, r_min, r_max):
+    """Double-precision FFT accumulators over all in-image centers; same
+    votes and tie-breaks as brute_hough, fast enough for full-size maps."""
+    h, w = edges.shape
+    padded = (sp_fft.next_fast_len(h + r_max), sp_fft.next_fast_len(w + r_max))
+    e_fft = sp_fft.rfft2(edges.astype(np.float64), s=padded)
+    d = np.arange(-r_max, r_max + 1, dtype=np.float64)
+    ring = np.rint(np.hypot(d[:, None], d[None, :]))
+    best = (0, None)
+    for r in range(r_min, r_max + 1):
+        k_fft = sp_fft.rfft2((ring == r).astype(np.float64), s=padded)
+        conv = sp_fft.irfft2(e_fft * k_fft, s=padded)[r_max : r_max + h, r_max : r_max + w]
+        votes = np.rint(conv).astype(np.int64)
+        if votes.max() > best[0]:
+            cy, cx = np.unravel_index(np.argmax(votes), votes.shape)
+            best = (int(votes.max()), (int(cx), int(cy), r))
+    return best
 
 
 def brute_hough(edges: np.ndarray, r_min, r_max, center_box=None):
@@ -144,6 +182,29 @@ class TestNonMaxSuppression:
         with pytest.raises(ValueError):
             non_max_suppression(field)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(3, 16), st.integers(3, 16)),
+        data=st.data(),
+        floor=st.floats(0.0, 1.0, exclude_min=True),
+        t_high=st.floats(0.0, 1.0),
+    )
+    def test_floor_keeps_hysteresis_edges(self, shape, data, floor, t_high):
+        mag = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        ori = data.draw(arrays(np.float64, shape, elements=st.floats(-math.pi, math.pi)))
+        field = field_from(mag, ori)
+        full = non_max_suppression(field)  # floor 0: every pixel compared
+        assert full.magnitude.tobytes() == full_grid_nms(field).tobytes()
+        # a floor on a magnitude value tests the boundary pixel itself
+        floor = data.draw(st.sampled_from([floor, *mag[mag > 0].ravel()]))
+        t_high = max(t_high, floor)
+        floored = non_max_suppression(field, floor)
+        np.testing.assert_array_equal(floored.magnitude, np.where(mag >= floor, full.magnitude, 0.0))
+        np.testing.assert_array_equal(
+            hysteresis_threshold(floored, t_high, floor).edges,
+            hysteresis_threshold(full, t_high, floor).edges,
+        )
+
 
 class TestHysteresisThreshold:
     def chain_field(self, break_value=None):
@@ -211,6 +272,18 @@ class TestCircularHough:
             votes, (cx, cy, r) = brute_hough(edges, r_min, r_max)
             assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
             assert fraction == pytest.approx(min(1.0, votes / (2 * math.pi * r)))
+
+    @pytest.mark.parametrize("kind", ["all_ones", "half_random"])
+    def test_full_size_maps_match_float64_reference(self, kind):
+        # Dense 280x320 maps carry the largest single-precision FFT error.
+        if kind == "all_ones":
+            edges = np.ones((280, 320), dtype=bool)
+        else:
+            edges = np.random.default_rng(17).random((280, 320)) < 0.5
+        circle, fraction = circular_hough(EdgeMap(edges), 90, 150)
+        votes, (cx, cy, r) = fft64_hough(edges, 90, 150)
+        assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+        assert fraction == min(1.0, votes / (2 * math.pi * r))
 
     def test_occluded_arc_recovered(self):
         # 25% of the circle removed; center and radius still found
