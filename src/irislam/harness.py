@@ -243,13 +243,30 @@ def _load_cached(path: Path) -> IrisTemplate | None:
 def _drop_replaced(entry: Path) -> None:
     """Delete the entries an image of the same name left under other image
     hashes in entry's class directory, and any hash directory left empty.
-    Entries under other configuration digests stay valid for those."""
+    Entries under other configuration digests stay valid for those. Safe
+    beside concurrent runs: whatever they already removed is skipped."""
     for hash_dir in entry.parent.parent.iterdir():
         stale = hash_dir / entry.name
         if hash_dir != entry.parent and stale.is_file():
-            stale.unlink()
-            if not any(hash_dir.iterdir()):
-                hash_dir.rmdir()
+            stale.unlink(missing_ok=True)
+            try:
+                hash_dir.rmdir()  # only succeeds once it is empty
+            except OSError:
+                pass
+
+
+def _write_entry(t: IrisTemplate, entry: Path) -> None:
+    """Write beside the entry, then rename over it, so a crash never leaves
+    a partial entry; the temp name does not end in .irt."""
+    partial = entry.with_name(entry.name + ".partial")
+    while True:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            save_template(t, partial)
+            break
+        except FileNotFoundError:
+            pass  # a concurrent run's _drop_replaced removed the directory just made
+    os.replace(partial, entry)
 
 
 def _templates_for(
@@ -261,6 +278,11 @@ def _templates_for(
     """Templates (cached) for the given entries; localization failures are
     logged and excluded. Returns (templates, labels, failed_entries)."""
     digest = cfg.template_digest()
+    # The default cache under the dataset root holds this dataset alone, so a
+    # same-named entry under another image hash is that of a replaced image.
+    # A configured cache_dir may be shared by datasets whose images have the
+    # same class and file names; their entries coexist under their hashes.
+    prune = not cfg.cache_dir
     templates: list[IrisTemplate] = []
     labels: list[int] = []
     failed: list[DatasetEntry] = []
@@ -276,13 +298,9 @@ def _templates_for(
                 logger.warning("excluding %s: %s", entry.path, exc)
                 failed.append(entry)
                 continue
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            # Write beside the entry, then rename over it, so a crash never
-            # leaves a partial entry; the temp name does not end in .irt.
-            partial = cached.with_name(cached.name + ".partial")
-            save_template(t, partial)
-            os.replace(partial, cached)
-            _drop_replaced(cached)
+            _write_entry(t, cached)
+            if prune:
+                _drop_replaced(cached)
         templates.append(t)
         labels.append(entry.class_id)
     return templates, labels, failed

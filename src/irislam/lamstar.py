@@ -110,10 +110,9 @@ class LamstarNetwork:
         self.neurons = np.zeros((num_modules, 1, subword_dim))
         self.counts = np.zeros(num_modules, dtype=np.int64)
         self.decision: DecisionLayer | None = None  # set by _freeze
-        # Effective link weights (neurons x classes) of config's variant,
-        # fixed when the network becomes inference-ready (end of train,
-        # load_model); classify reads them.
-        self.link_scores: np.ndarray | None = None
+        # Normalized link weights, divided once when the network becomes
+        # inference-ready (end of train, load_model) if config asks for them.
+        self._normalized_links: np.ndarray | None = None
 
     def _check_template(self, t: IrisTemplate) -> None:
         if t.radial_res != self.subword_dim or t.angular_res != self.num_modules:
@@ -128,6 +127,22 @@ class LamstarNetwork:
         occupied slots for the winner search."""
         self.decision = DecisionLayer(self.counts, self.num_classes)
         self._valid = np.arange(self.neurons.shape[1]) < self.counts[:, None]
+
+    def _ready(self) -> None:
+        """Mark the decision layer final for classify."""
+        self._normalized_links = (self.decision.effective_matrix(True)
+                                  if self.config.normalized else None)
+
+    def _link_scores(self) -> np.ndarray:
+        """Effective link weights (neurons x classes) of config's current
+        variant. The unnormalized ones are the weights themselves; the
+        normalized ones are divided again only if config switched to them
+        after the network became ready."""
+        if not self.config.normalized:
+            return self.decision.weights
+        if self._normalized_links is None:
+            return self.decision.effective_matrix(True)
+        return self._normalized_links
 
     def _find_winners(self, subwords: np.ndarray) -> np.ndarray:
         """Global neuron id of the winner per module, -1 for abstentions.
@@ -225,7 +240,7 @@ def train(
         epoch_errors.append(errors)
         if errors == 0:
             break
-    net.link_scores = dec.effective_matrix(cfg.normalized)
+    net._ready()
 
     return TrainingLog(
         neuron_counts=net.counts.tolist(),
@@ -242,12 +257,12 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     ascending order). Modules with no neuron above the winner threshold
     abstain. Ties in the final argmax go to the lowest class index.
     """
-    if net.link_scores is None:
+    if net.decision is None:
         raise ValueError("network has not been trained")
     if shift_range < 0:
         raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
-    eff = net.link_scores
+    eff = net._link_scores()
     cols = subword_matrix(t.values)
     shifts = np.arange(-shift_range, shift_range + 1)
     # Module m at shift s reads column m - s, as np.roll(values, s, axis=1) does.
@@ -364,5 +379,5 @@ def load_model(path: str | Path) -> LamstarNetwork:
     gids = dec.offsets[module] + neuron
     dec.weights[gids, classes] = records["weight"]
     dec.reward_counts[gids, classes] = records["rewards"]
-    net.link_scores = dec.effective_matrix(cfg.normalized)
+    net._ready()
     return net

@@ -154,6 +154,54 @@ class TestRunTrain:
         assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
         assert all(any(d.iterdir()) for d in class_cache.iterdir())
 
+    def test_shared_cache_dir_keeps_both_datasets(self, trained, tmp_path, monkeypatch):
+        root, index, cfg, first, _ = trained
+        shared = tmp_path / "shared"
+        shutil.copytree(root / ".template_cache", shared)  # dataset one's entries
+        cfg = replace(cfg, cache_dir=str(shared))
+        other = tmp_path / "other"
+        shutil.copytree(root, other, ignore=shutil.ignore_patterns(".template_cache"))
+        # dataset two: same class and file names, one of them another eye
+        target = other / index.split("train")[0].path.relative_to(root)
+        shutil.copyfile(index.split("train")[-1].path, target)
+        computed = []
+        compute_template = harness.compute_template
+
+        def spy(path, label, cfg):
+            computed.append(path)
+            return compute_template(path, label, cfg)
+
+        monkeypatch.setattr(harness, "compute_template", spy)
+        run_train(index_dataset(other, cfg.train_per_class), cfg, tmp_path / "other.lns")
+        assert computed == [target]
+        again = tmp_path / "again.lns"
+        run_train(index, cfg, again)  # dataset one still reads every entry
+        assert computed == [target]
+        assert again.read_bytes() == first.read_bytes()
+        class_cache = shared / cfg.template_digest() / target.parent.name
+        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 2
+
+    def test_entry_written_after_concurrent_prune(self, small_dataset, tmp_path, monkeypatch):
+        cfg = HarnessConfig(train_per_class=3, cache_dir=str(tmp_path / "cache"))
+        index = index_dataset(small_dataset, cfg.train_per_class)
+        entries = index.split("train")[:1]
+        save_template = harness.save_template
+        pruned = []
+
+        def prune_first(t, path):
+            # another run removes the hash directory, still empty, just made
+            if not pruned:
+                pruned.append(path.parent)
+                path.parent.rmdir()
+            save_template(t, path)
+
+        monkeypatch.setattr(harness, "save_template", prune_first)
+        templates, _, _ = harness._templates_for(entries, index, cfg, tmp_path / "cache")
+        assert pruned
+        written = list((tmp_path / "cache").rglob("*.irt"))
+        assert [p.parent for p in written] == pruned
+        assert harness._load_cached(written[0]).values.tobytes() == templates[0].values.tobytes()
+
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex
         index = DatasetIndex(root=tmp_path, entries=[], class_names=[])

@@ -328,7 +328,7 @@ class TestTrain:
 
 
 class TestClassify:
-    def trained_net(self, normalized=False):
+    def trained_net(self):
         rng = np.random.default_rng(7)
         base = rng.random((2, 4, 12))
         templates, labels = [], []
@@ -336,7 +336,7 @@ class TestClassify:
             for _ in range(3):
                 templates.append(IrisTemplate(np.clip(base[c] + rng.normal(0, 0.003, base[c].shape), 0, 1)))
                 labels.append(c)
-        net = LamstarNetwork(12, 4, 2, LamstarConfig(normalized=normalized))
+        net = LamstarNetwork(12, 4, 2)
         train(net, templates, labels)
         return net, templates, labels
 
@@ -389,8 +389,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_matches_per_shift_reference(self, normalized):
-        # the variant is fixed when the network becomes inference-ready
-        net, _, _ = self.trained_net(normalized)
+        net, _, _ = self.trained_net()
         rng = np.random.default_rng(11)
         probes = [IrisTemplate(rng.random((4, 12))) for _ in range(8)]
         probes.append(IrisTemplate(rng.random((4, 12)) * (np.arange(12) % 3 > 0)))
