@@ -43,18 +43,6 @@ EXIT_DATA = 2
 EXIT_PROCESSING = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; the CLI contract is 1
-        self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -169,7 +157,7 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="irislam", description=__doc__)
+    parser = argparse.ArgumentParser(prog="irislam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a synthetic benchmark dataset")
@@ -231,12 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (code 2) or help (0)
+        return EXIT_USAGE if exc.code else EXIT_OK
+    try:
         return args.func(args)
-    except SystemExit_ as exc:
-        if str(exc):
-            print(str(exc), file=sys.stderr)
-        return exc.code
-    except (DatasetError, FormatError, FileNotFoundError) as exc:
+    except (DatasetError, FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (LocalizationError, ConfigError, IrisLamError, ValueError) as exc:

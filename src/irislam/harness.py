@@ -217,10 +217,6 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
     return DatasetIndex(root=root, entries=entries, class_names=class_names)
 
 
-def _resolve_cache_dir(cfg: HarnessConfig, fallback_root: Path) -> Path:
-    return Path(cfg.cache_dir) if cfg.cache_dir else fallback_root / ".template_cache"
-
-
 def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate:
     """Segment and unwrap one image (no caching)."""
     img = load_gray_image(path)
@@ -273,16 +269,17 @@ def _templates_for(
     entries: list[DatasetEntry],
     index: DatasetIndex,
     cfg: HarnessConfig,
-    cache_dir: Path,
 ) -> tuple[list[IrisTemplate], list[int], list[DatasetEntry]]:
-    """Templates (cached) for the given entries; localization failures are
-    logged and excluded. Returns (templates, labels, failed_entries)."""
+    """Templates (cached in cfg.cache_dir, by default <dataset root>/.template_cache)
+    for the given entries; localization failures are logged and excluded.
+    Returns (templates, labels, failed_entries)."""
     digest = cfg.template_digest()
     # The default cache under the dataset root holds this dataset alone, so a
     # same-named entry under another image hash is that of a replaced image.
     # A configured cache_dir may be shared by datasets whose images have the
     # same class and file names; their entries coexist under their hashes.
     prune = not cfg.cache_dir
+    cache_dir = Path(cfg.cache_dir or index.root / ".template_cache")
     templates: list[IrisTemplate] = []
     labels: list[int] = []
     failed: list[DatasetEntry] = []
@@ -315,8 +312,7 @@ def run_train(
     train_entries = index.split("train")
     if not train_entries:
         raise DatasetError("index has no training entries")
-    cache_dir = _resolve_cache_dir(cfg, index.root)
-    templates, labels, _ = _templates_for(train_entries, index, cfg, cache_dir)
+    templates, labels, _ = _templates_for(train_entries, index, cfg)
     for class_id, name in enumerate(index.class_names):
         if class_id not in labels:
             raise DatasetError(f"class {name} lost all training images to localization failures")
@@ -345,8 +341,7 @@ def run_eval(
             f"model has {net.num_classes} classes, dataset has {index.num_classes}"
         )
     test_entries = index.split("test")
-    cache_dir = _resolve_cache_dir(cfg, index.root)
-    templates, labels, failed = _templates_for(test_entries, index, cfg, cache_dir)
+    templates, labels, failed = _templates_for(test_entries, index, cfg)
 
     n = index.num_classes
     confusion = np.zeros((n, n), dtype=np.int64)
@@ -369,7 +364,10 @@ def run_eval(
         confusion=confusion,
         train_seconds=train_seconds,
         test_seconds=test_seconds,
-        config_echo=cfg.echo(),
+        # classify used the variant, delta and threshold saved in the model
+        config_echo=replace(cfg, lamstar=replace(
+            cfg.lamstar, normalized=net.config.normalized, delta=net.config.delta,
+            winner_threshold=net.config.winner_threshold)).echo(),
         num_test=total,
         num_failed=len(failed),
     )

@@ -110,9 +110,7 @@ class LamstarNetwork:
         self.neurons = np.zeros((num_modules, 1, subword_dim))
         self.counts = np.zeros(num_modules, dtype=np.int64)
         self.decision: DecisionLayer | None = None  # set by _freeze
-        # Normalized link weights, divided once when the network becomes
-        # inference-ready (end of train, load_model) if config asks for them.
-        self._normalized_links: np.ndarray | None = None
+        self._links: tuple[bool, np.ndarray] | None = None  # (variant, matrix), by _link_scores
 
     def _check_template(self, t: IrisTemplate) -> None:
         if t.radial_res != self.subword_dim or t.angular_res != self.num_modules:
@@ -127,22 +125,16 @@ class LamstarNetwork:
         occupied slots for the winner search."""
         self.decision = DecisionLayer(self.counts, self.num_classes)
         self._valid = np.arange(self.neurons.shape[1]) < self.counts[:, None]
-
-    def _ready(self) -> None:
-        """Mark the decision layer final for classify."""
-        self._normalized_links = (self.decision.effective_matrix(True)
-                                  if self.config.normalized else None)
+        self._links = None
 
     def _link_scores(self) -> np.ndarray:
         """Effective link weights (neurons x classes) of config's current
-        variant. The unnormalized ones are the weights themselves; the
-        normalized ones are divided again only if config switched to them
-        after the network became ready."""
-        if not self.config.normalized:
-            return self.decision.weights
-        if self._normalized_links is None:
-            return self.decision.effective_matrix(True)
-        return self._normalized_links
+        variant, computed on first use after _freeze and again only when
+        config switches variant."""
+        variant = self.config.normalized
+        if self._links is None or self._links[0] != variant:
+            self._links = (variant, self.decision.effective_matrix(variant))
+        return self._links[1]
 
     def _find_winners(self, subwords: np.ndarray) -> np.ndarray:
         """Global neuron id of the winner per module, -1 for abstentions.
@@ -240,7 +232,6 @@ def train(
         epoch_errors.append(errors)
         if errors == 0:
             break
-    net._ready()
 
     return TrainingLog(
         neuron_counts=net.counts.tolist(),
@@ -379,5 +370,4 @@ def load_model(path: str | Path) -> LamstarNetwork:
     gids = dec.offsets[module] + neuron
     dec.weights[gids, classes] = records["weight"]
     dec.reward_counts[gids, classes] = records["rewards"]
-    net._ready()
     return net

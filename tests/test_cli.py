@@ -59,6 +59,11 @@ class TestSegment:
         code, _, err = run(capsys, "segment", str(tmp_path / "nope.pgm"))
         assert code == 2
 
+    def test_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "segment", str(tmp_path))
+        assert code == 2
+        assert "data error" in err
+
     def test_unsegmentable_exits_3(self, capsys, tmp_path):
         from irislam.imaging import GrayImage, save_gray_image
         p = tmp_path / "flat.pgm"
@@ -119,6 +124,17 @@ class TestTrainEvalCompare:
         assert report.with_suffix(".txt").is_file()
         assert report.with_suffix(".kv").is_file()
 
+    def test_eval_report_echoes_the_model_variant(self, capsys, synth_root, tmp_path):
+        model = tmp_path / "model.lns"
+        code, _, _ = run(capsys, "train", "--data", str(synth_root), "--out", str(model),
+                         "--train-per-class", "2", "--normalized")
+        assert code == 0
+        report = tmp_path / "report"
+        code, _, _ = run(capsys, "eval", "--model", str(model), "--data", str(synth_root),
+                         "--train-per-class", "2", "--report", str(report))
+        assert code == 0
+        assert "config.lamstar.normalized = True\n" in report.with_suffix(".kv").read_text()
+
     def test_compare(self, capsys, synth_root, tmp_path):
         code, out, _ = run(capsys, "compare", "--data", str(synth_root),
                            "--train-per-class", "2",
@@ -131,6 +147,12 @@ class TestTrainEvalCompare:
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "m.lns"))
         assert code == 2
+
+    def test_model_directory_exits_2(self, capsys, synth_root, tmp_path):
+        code, _, err = run(capsys, "eval", "--model", str(tmp_path),
+                           "--data", str(synth_root), "--train-per-class", "2")
+        assert code == 2
+        assert "data error" in err
 
     @pytest.mark.parametrize("model_bytes", [
         # non-numeric class count in the header
@@ -256,3 +278,13 @@ class TestConfigFile:
     def test_usage_error_exits_1(self, capsys):
         code, _, err = run(capsys, "train", "--data")
         assert code == 1
+
+    def test_unknown_command_exits_1(self, capsys):
+        code, _, err = run(capsys, "bogus")
+        assert code == 1
+        assert "invalid choice" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "usage: irislam" in out

@@ -196,7 +196,7 @@ class TestRunTrain:
             save_template(t, path)
 
         monkeypatch.setattr(harness, "save_template", prune_first)
-        templates, _, _ = harness._templates_for(entries, index, cfg, tmp_path / "cache")
+        templates, _, _ = harness._templates_for(entries, index, cfg)
         assert pruned
         written = list((tmp_path / "cache").rglob("*.irt"))
         assert [p.parent for p in written] == pruned
@@ -268,6 +268,17 @@ class TestRunEval:
         assert report.config_echo["localization.t_high"] == "0.2"
         assert report.config_echo["lamstar.delta"] == "0.05"
         assert "shift_range" in report.config_echo
+
+    def test_echo_follows_the_model_classifier(self, trained, tmp_path):
+        # classify uses the model's variant, delta and threshold, not cfg.lamstar's
+        root, index, cfg, _, _ = trained
+        lam = replace(cfg.lamstar, normalized=True, delta=0.1, winner_threshold=0.9)
+        model_path, _ = run_train(index, replace(cfg, lamstar=lam), tmp_path / "norm.lns")
+        echo = run_eval(model_path, index, cfg).config_echo
+        assert echo["lamstar.normalized"] == "True"
+        assert echo["lamstar.delta"] == "0.1"
+        assert echo["lamstar.winner_threshold"] == "0.9"
+        assert echo["lamstar.epochs"] == repr(cfg.lamstar.epochs)
 
 
 class TestReports:

@@ -408,6 +408,27 @@ class TestClassify:
                 for t in ties:  # the first shift in ascending order wins a tie
                     assert classify(net, t, shift_range=shift_range).shift == -shift_range
 
+    def test_link_scores_follow_variant_and_retraining(self):
+        net, templates, labels = self.trained_net()
+        rng = np.random.default_rng(12)
+        probes = templates + [IrisTemplate(np.roll(t.values, 2, axis=1)) for t in templates]
+
+        def check(variants):
+            for normalized in variants:
+                net.config = LamstarConfig(normalized=normalized)
+                for t in probes:
+                    pred = classify(net, t, shift_range=2)
+                    class_index, shift, scores = reference_classify(net, t, 2)
+                    assert (pred.class_index, pred.shift) == (class_index, shift)
+                    assert pred.scores.tobytes() == scores.tobytes()
+
+        check((False, True, False, True))
+        # retraining grows neurons for the new templates and rebuilds the
+        # decision layer; the first classify after it keeps the last variant
+        more = [IrisTemplate(rng.random((4, 12))) for _ in range(2)]
+        train(net, templates + more, labels + [0, 1])
+        check((True, False))
+
 
     @pytest.fixture(scope="class")
     def seed11_templates(self):

@@ -1,5 +1,7 @@
-"""Smoke test: the example scripts run end to end on a tiny dataset."""
+"""The example scripts run end to end on a tiny dataset; the paired
+benchmark's summary is checked on synthetic records."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,3 +24,49 @@ def test_script_runs(tmp_path, script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "accuracy" in proc.stdout
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def records(values: dict[str, list[float]], correct=None, failed=None) -> list[dict]:
+    n = len(next(iter(values.values())))
+    correct = correct or [True] * n
+    failed = failed or [0] * n
+    return [{"result": {"metrics": {k: {"value": v[i]} for k, v in values.items()},
+                        "correct": correct[i], "failed": failed[i]}} for i in range(n)]
+
+
+class TestBenchSummary:
+    metrics = [{"name": "items_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+
+    def test_quartiles_and_pairs_won(self):
+        summarize = load_bench_pairs().summarize
+        parent = records({"items_per_s": [5, 4, 3, 2, 1], "setup_s": [1, 2, 3, 4, 5]})
+        # pairs 1 and 4 won, pairs 2 and 5 tied, pair 3 lost, for either direction
+        change = records({"items_per_s": [6, 4, 2, 3, 1], "setup_s": [0, 2, 4, 3, 5]})
+        out = summarize(parent, change, self.metrics)
+        assert out["items_per_s"] == {"parent_q1_median_q3": [2.0, 3.0, 4.0],
+                                      "change_q1_median_q3": [2.0, 3.0, 4.0],
+                                      "change_better_pairs": 2}
+        assert out["setup_s"] == {"parent_q1_median_q3": [2.0, 3.0, 4.0],
+                                  "change_q1_median_q3": [2.0, 3.0, 4.0],
+                                  "change_better_pairs": 2}
+        assert out["correct"] is True
+        assert out["failed"] == {"parent": 0, "change": 0}
+
+    def test_single_pair_and_failures(self):
+        summarize = load_bench_pairs().summarize
+        parent = records({"items_per_s": [2.0], "setup_s": [1.0]}, failed=[3])
+        change = records({"items_per_s": [1.5], "setup_s": [0.5]}, correct=[False], failed=[1])
+        out = summarize(parent, change, self.metrics)
+        assert out["items_per_s"]["parent_q1_median_q3"] == [2.0, 2.0, 2.0]
+        assert out["items_per_s"]["change_better_pairs"] == 0
+        assert out["setup_s"]["change_q1_median_q3"] == [0.5, 0.5, 0.5]
+        assert out["setup_s"]["change_better_pairs"] == 1
+        assert out["correct"] is False
+        assert out["failed"] == {"parent": 3, "change": 1}
