@@ -41,6 +41,9 @@ from irislam.segmentation import LocalizationConfig, localize_iris
 logger = logging.getLogger(__name__)
 
 _SECTIONS = ("localization", "lamstar")  # nested configs, echoed as "<section>.<field>"
+# Training settings an LNS1 model file does not record.
+_UNRECORDED_TRAINING_KEYS = ("lamstar.epochs", "lamstar.learning_rate",
+                             "lamstar.convergence_target", "lamstar.max_update_iters")
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -358,16 +361,19 @@ def run_eval(
         np.diag(confusion), row_sums,
         out=np.full(n, np.nan), where=row_sums > 0,
     )
+    # classify used the variant, delta and threshold saved in the model;
+    # LNS1 records no other training setting, so none is echoed
+    model_cfg = replace(cfg, lamstar=replace(
+        cfg.lamstar, normalized=net.config.normalized, delta=net.config.delta,
+        winner_threshold=net.config.winner_threshold))
     return EvalReport(
         accuracy=accuracy,
         per_class_accuracy=per_class,
         confusion=confusion,
         train_seconds=train_seconds,
         test_seconds=test_seconds,
-        # classify used the variant, delta and threshold saved in the model
-        config_echo=replace(cfg, lamstar=replace(
-            cfg.lamstar, normalized=net.config.normalized, delta=net.config.delta,
-            winner_threshold=net.config.winner_threshold)).echo(),
+        config_echo={k: v for k, v in model_cfg.echo().items()
+                     if k not in _UNRECORDED_TRAINING_KEYS},
         num_test=total,
         num_failed=len(failed),
     )
@@ -450,6 +456,8 @@ def compare_variants(
         model_path = out_dir / f"{name}.lns"
         model_path, log = run_train(index, variant_cfg, model_path)
         report = run_eval(model_path, index, variant_cfg, train_seconds=log.train_seconds)
+        # the model was trained here, so every setting of variant_cfg is its own
+        report = replace(report, config_echo=variant_cfg.echo())
         write_report(report, index.class_names, out_dir / f"{name}_report")
         results.append(VariantResult(name, model_path, log, report))
     return results

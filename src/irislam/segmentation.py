@@ -26,6 +26,7 @@ from irislam.imaging import (
 )
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+_BAND = 2  # radii per band of the coarse vote bound
 
 
 @dataclass(eq=False)
@@ -36,14 +37,6 @@ class EdgeMap:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=bool)
-
-    @property
-    def width(self) -> int:
-        return self.edges.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.edges.shape[0]
 
 
 @dataclass(frozen=True)
@@ -143,6 +136,61 @@ def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> E
     return EdgeMap(np.isin(labels, seed_labels))
 
 
+def _radius_bounds(
+    e: np.ndarray, box: tuple[int, int, int, int], r_min: int, r_max: int
+) -> np.ndarray:
+    """Integer upper bounds on the votes of any center in the inclusive
+    (x0, x1, y0, y1) box of mask e, one per radius r_min..r_max.
+
+    Edge pixels are summed over 2x2 blocks anchored at the box origin. An
+    edge pixel in block P and a center in block C differ by 2(P - C) + w
+    with w in {-1, 0, 1}^2, so correlating the block sums with a coarse
+    ring, every block offset D with some rint|2D + w| in a band of
+    _BAND radii, counts at least the votes of every center of C at every
+    radius of the band. The maximum over the box's blocks bounds the band.
+    """
+    x0, x1, y0, y1 = box
+    h, w = e.shape
+    # Shift the mask so the box origin lands on an even row and column.
+    py, px = y0 % 2, x0 % 2
+    bh, bw = (h + py + 1) // 2, (w + px + 1) // 2
+    grid = np.zeros((2 * bh, 2 * bw), dtype=np.float32)
+    grid[py : py + h, px : px + w] = e
+    blocks = grid.reshape(bh, 2, bw, 2).sum(axis=(1, 3))
+
+    # Per axis, |2D + w| runs from max(2|D| - 1, 0) to 2|D| + 1. Offsets one
+    # unit step apart differ in distance by at most 1, so the nine rounded
+    # distances fill the integer range between those of the nearest and the
+    # farthest corner, and D is on a band's ring iff that range meets the
+    # band. Offsets beyond r_max/2 + 1 are on no ring; padding by R keeps
+    # circular wrap-around out of the read window, as in circular_hough.
+    R = r_max // 2 + 2
+    two_d = 2 * np.abs(np.arange(-R, R + 1))
+    near, far = np.maximum(two_d - 1, 0), two_d + 1
+    nearest = np.rint(np.hypot(near[:, None], near[None, :]))
+    farthest = np.rint(np.hypot(far[:, None], far[None, :]))
+
+    # Single precision, with circular_hough's error bound
+    # |err| <~ eps32 * log2(N) * ||blocks||_2 * ||ring||_2. Block sums are at
+    # most 4, so ||blocks||_2 <= 2 ||e||_2; a coarse ring of an iris-sized
+    # band holds at most about 1100 offsets. That gives about 0.04 for an
+    # all-ones 280x320 map (measured 1e-3), far below the 0.5 rint margin,
+    # so every bound is the exact integer correlation.
+    padded = (sp_fft.next_fast_len(bh + R), sp_fft.next_fast_len(bw + R))
+    b_fft = sp_fft.rfft2(blocks, s=padded)
+    window = (  # the box's blocks in padded output coordinates
+        slice(R + (y0 + py) // 2, R + (y1 + py) // 2 + 1),
+        slice(R + (x0 + px) // 2, R + (x1 + px) // 2 + 1),
+    )
+    bounds = np.empty(r_max - r_min + 1, dtype=np.int64)
+    for lo in range(r_min, r_max + 1, _BAND):
+        hi = min(lo + _BAND - 1, r_max)
+        ring = ((nearest <= hi) & (farthest >= lo)).astype(np.float32)
+        conv = sp_fft.irfft2(b_fft * sp_fft.rfft2(ring, s=padded), s=padded)
+        bounds[lo - r_min : hi - r_min + 1] = np.rint(conv[window].max())
+    return bounds
+
+
 def circular_hough(
     edges: EdgeMap,
     r_min: int,
@@ -158,8 +206,17 @@ def circular_hough(
 
     center_search is an inclusive (x0, x1, y0, y1) box restricting
     candidate centers; by default all in-image centers are considered.
-    The per-radius accumulators are built by FFT correlation of the edge
-    mask with an annulus kernel, which equals the brute-force count.
+
+    The search bounds, then verifies. A quarter-size correlation of 2x2
+    block sums gives an integer upper bound on the votes of any center in
+    each band of _BAND radii (see _radius_bounds). Radii are then visited
+    in order of descending bound, then ascending r; each visited radius
+    gets its exact accumulator, an FFT correlation of the edge mask with
+    that radius's ring, which equals the brute-force count. The search
+    stops at the first radius whose bound is below the best vote count, so
+    no skipped radius could have won or tied. On a dense map no bound
+    falls below the best count; every radius is visited, and the cost is
+    that of the exact accumulators plus the bound pass.
     """
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
@@ -183,6 +240,7 @@ def circular_hough(
     cx0, cx1 = max(bx0 - r_max, 0), min(bx1 + r_max, w - 1)
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     sh, sw = sub.shape
+    bounds = _radius_bounds(sub, (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0), r_min, r_max)
 
     # Pad by r_max, not by the full kernel width: circular wrap-around
     # then lands only on output rows/columns below r_max, which the read
@@ -204,21 +262,26 @@ def circular_hough(
         slice(r_max + bx0 - cx0, r_max + bx1 - cx0 + 1),
     )
 
-    best_votes = 0
+    # Within one radius argmax takes the smallest cy, then cx, so across
+    # radii the key (votes, -r) completes the tie-break.
+    best_key = (0, 0)
     best: tuple[int, int, int] | None = None  # (r, cy, cx) in image coords
-    for r in range(r_min, r_max + 1):
+    for i in np.argsort(-bounds, kind="stable"):  # ties in ascending r
+        if bounds[i] < max(best_key[0], 1):  # a bound of 0 means no votes
+            break
+        r = r_min + int(i)
         k_fft = sp_fft.rfft2((ring == r).astype(np.float32), s=padded)
         conv = sp_fft.irfft2(e_fft * k_fft, s=padded)
         votes = np.rint(conv[window]).astype(np.int64)
-        peak = int(votes.max())
-        if peak > best_votes:
+        key = (int(votes.max()), -r)
+        if key > best_key:
             idx = int(np.argmax(votes))
-            best_votes = peak
+            best_key = key
             best = (r, by0 + idx // votes.shape[1], bx0 + idx % votes.shape[1])
-    if best is None or best_votes == 0:
+    if best is None:
         raise LocalizationError("no boundary found: accumulator is empty")
     r, cy, cx = best
-    fraction = min(1.0, best_votes / (2.0 * math.pi * r))
+    fraction = min(1.0, best_key[0] / (2.0 * math.pi * r))
     return Circle(cx=float(cx), cy=float(cy), r=float(r)), fraction
 
 

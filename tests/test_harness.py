@@ -278,7 +278,10 @@ class TestRunEval:
         assert echo["lamstar.normalized"] == "True"
         assert echo["lamstar.delta"] == "0.1"
         assert echo["lamstar.winner_threshold"] == "0.9"
-        assert echo["lamstar.epochs"] == repr(cfg.lamstar.epochs)
+        # LNS1 records no other training setting, so eval states none
+        for key in ("lamstar.epochs", "lamstar.learning_rate",
+                    "lamstar.convergence_target", "lamstar.max_update_iters"):
+            assert key not in echo
 
 
 class TestReports:
@@ -321,6 +324,9 @@ class TestCompareVariants:
         results = compare_variants(index, cfg, tmp_path / "cmp")
         assert results[0].report.config_echo["lamstar.normalized"] == "False"
         assert results[1].report.config_echo["lamstar.normalized"] == "True"
+        # compare_variants trained each model, so it echoes every setting
+        trained_with = replace(cfg, lamstar=replace(cfg.lamstar, normalized=True))
+        assert results[1].report.config_echo == trained_with.echo()
 
 
 # Every int field has a lower bound of at most 4 and every float field

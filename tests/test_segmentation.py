@@ -10,17 +10,25 @@ from scipy import fft as sp_fft
 from scipy import ndimage
 
 from irislam.errors import LocalizationError
-from irislam.imaging import GradientField, GrayImage, compute_gradient
+from irislam.imaging import (
+    GradientField,
+    GrayImage,
+    compute_gradient,
+    gaussian_smooth,
+    weight_vertical_gradient,
+)
 from irislam.segmentation import (
     Circle,
     EdgeMap,
     IrisLocalization,
+    LocalizationConfig,
+    _radius_bounds,
     circular_hough,
     hysteresis_threshold,
     localize_iris,
     non_max_suppression,
 )
-from irislam.synthdata import SyntheticEyeSpec, render_eye
+from irislam.synthdata import SyntheticEyeSpec, make_benchmark, render_eye
 
 
 def field_from(magnitude, orientation):
@@ -126,6 +134,16 @@ def brute_hough(edges: np.ndarray, r_min, r_max, center_box=None):
     return best
 
 
+def exact_radius_peaks(edges: np.ndarray, r_min, r_max, box):
+    """Per-radius maximum of the exact vote count over the centers of an
+    inclusive (x0, x1, y0, y1) box inside the map."""
+    x0, x1, y0, y1 = box
+    pts = np.argwhere(edges)  # (y, x)
+    cy, cx = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+    d = np.rint(np.hypot(pts[:, 1] - cx.reshape(-1, 1), pts[:, 0] - cy.reshape(-1, 1)))
+    return (d[:, :, None] == np.arange(r_min, r_max + 1)).sum(axis=1).max(axis=0)
+
+
 def rasterize_circle(h, w, cx, cy, r, arc=(0.0, 2 * math.pi)):
     """All lattice points at rounded distance r within the given angle arc."""
     edges = np.zeros((h, w), dtype=bool)
@@ -137,6 +155,48 @@ def rasterize_circle(h, w, cx, cy, r, arc=(0.0, 2 * math.pi)):
     in_arc = (theta >= lo) & (theta < hi)
     edges[on & in_arc] = True
     return edges
+
+
+@st.composite
+def hough_cases(draw):
+    """(edges, r_min, r_max, box): a small sparse random map, or one of two
+    built ties at the maximum: one ring stamped at two centers, or two
+    concentric rings thinned to equal pixel counts. The inclusive
+    (x0, x1, y0, y1) center box may reach past the map."""
+    r_min = draw(st.integers(1, 8))
+    r_max = draw(st.integers(r_min + 1, r_min + 6))
+    kind = draw(st.sampled_from(["sparse", "two_centers", "concentric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        h, w = draw(st.integers(8, 30)), draw(st.integers(8, 30))
+        edges = rng.random((h, w)) < draw(st.floats(0.01, 0.15))
+    elif kind == "two_centers":
+        r = draw(st.integers(r_min, r_max))
+        stamp = rasterize_circle(2 * r + 1, 2 * r + 1, r, r, r)
+        dy, dx = draw(st.sampled_from([(0, 2 * r + 2), (2 * r + 2, 0), (2 * r + 2, 2 * r + 2)]))
+        edges = np.zeros((2 * r + 1 + dy, 2 * r + 1 + dx), dtype=bool)
+        edges[: 2 * r + 1, : 2 * r + 1] |= stamp
+        edges[dy:, dx:] |= stamp
+    else:
+        r_in = draw(st.integers(r_min, r_max - 1))
+        r_out = draw(st.integers(r_in + 1, r_max))
+        size = 2 * r_out + 1
+        rings = [rasterize_circle(size, size, r_out, r_out, r) for r in (r_in, r_out)]
+        keep = min(np.count_nonzero(ring) for ring in rings)
+        edges = np.zeros((size, size), dtype=bool)
+        for ring in rings:
+            ys, xs = np.nonzero(ring)
+            pick = rng.choice(ys.size, keep, replace=False)
+            edges[ys[pick], xs[pick]] = True
+    h, w = edges.shape
+    box = None
+    if draw(st.booleans()):
+        x0 = draw(st.integers(-3, w - 1))
+        x1 = draw(st.integers(max(x0, 0), w + 2))
+        y0 = draw(st.integers(-3, h - 1))
+        y1 = draw(st.integers(max(y0, 0), h + 2))
+        box = (x0, x1, y0, y1)
+    return edges, r_min, r_max, box
 
 
 class TestNonMaxSuppression:
@@ -325,6 +385,68 @@ class TestCircularHough:
             circle, _ = circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
             votes, (cx, cy, r) = brute_hough(edges, r_min, r_max, center_box=box)
             assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
+    def test_random_maps_and_ties_match_brute(self, case):
+        edges, r_min, r_max, box = case
+        votes, best = brute_hough(edges, r_min, r_max, center_box=box)
+        if votes == 0:
+            with pytest.raises(LocalizationError, match="no boundary"):
+                circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
+            return
+        circle, fraction = circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
+        assert (circle.cx, circle.cy, circle.r) == best
+        assert fraction == min(1.0, votes / (2 * math.pi * best[2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
+    def test_bound_covers_exact_votes_per_radius(self, case):
+        edges, r_min, r_max, box = case
+        h, w = edges.shape
+        x0, x1, y0, y1 = box or (0, w - 1, 0, h - 1)
+        box = (max(x0, 0), min(x1, w - 1), max(y0, 0), min(y1, h - 1))
+        bounds = _radius_bounds(edges, box, r_min, r_max)
+        assert bounds.shape == (r_max - r_min + 1,)
+        assert np.all(bounds >= exact_radius_peaks(edges, r_min, r_max, box))
+
+    def test_radius_whose_bound_equals_best_votes_is_visited(self):
+        # Concentric rings of equal pixel counts tie; a few pixels one past
+        # the outer ring raise its band's bound, so it is verified first,
+        # and the inner ring, bound exactly at the tie, must still win.
+        inner = rasterize_circle(41, 41, 20, 20, 8)
+        outer = rasterize_circle(41, 41, 20, 20, 16)
+        ys, xs = np.nonzero(outer)
+        keep = np.count_nonzero(inner)
+        outer[ys[keep:], xs[keep:]] = False
+        beyond = np.argwhere(rasterize_circle(41, 41, 20, 20, 17))[-3:]
+        edges = inner | outer
+        edges[beyond[:, 0], beyond[:, 1]] = True
+        bounds = _radius_bounds(edges, (0, 40, 0, 40), 8, 17)
+        assert bounds[16 - 8] > bounds[0] == keep
+        circle, _ = circular_hough(EdgeMap(edges), 8, 17)
+        votes, best = brute_hough(edges, 8, 17)
+        assert votes == keep and best == (20, 20, 8)
+        assert (circle.cx, circle.cy, circle.r) == best
+
+    def test_real_eyes_outer_pass_matches_float64_reference(self):
+        # Real edge maps are where the bound prunes radii.
+        cfg = LocalizationConfig()
+        train, test = make_benchmark(1, 2, 1, seed=5)
+        for eye in train + test:
+            grad = compute_gradient(gaussian_smooth(eye.image, cfg.sigma))
+            weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
+            edges = hysteresis_threshold(
+                non_max_suppression(weighted, cfg.t_low), cfg.t_high, cfg.t_low
+            ).edges
+            circle, fraction = circular_hough(EdgeMap(edges), cfg.iris_r_min, cfg.iris_r_max)
+            votes, (cx, cy, r) = fft64_hough(edges, cfg.iris_r_min, cfg.iris_r_max)
+            assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+            assert fraction == min(1.0, votes / (2 * math.pi * r))
+            h, w = edges.shape
+            bounds = _radius_bounds(edges, (0, w - 1, 0, h - 1), cfg.iris_r_min, cfg.iris_r_max)
+            assert bounds[r - cfg.iris_r_min] >= votes
+            assert np.count_nonzero(bounds < votes) > bounds.size // 2
 
     def test_empty_edge_map_rejected(self):
         with pytest.raises(LocalizationError, match="no boundary"):
