@@ -164,7 +164,10 @@ def weight_vertical_gradient(field: GradientField, horizontal_weight: float) -> 
 
     Recomputes magnitude as hypot(horizontal_weight*gx, gy) and rescales
     its maximum to 1. horizontal_weight=1 is the identity; 0 keeps only
-    vertical-direction changes, suppressing horizontal eyelid edges.
+    gy, the vertical intensity change. That keeps horizontal edges, the
+    top and bottom of the limbus and a horizontal eyelid alike, and drops
+    most of the limbus's near-vertical left and right flanks; it does not
+    suppress eyelid edges.
     """
     if not 0.0 <= horizontal_weight <= 1.0:
         raise ValueError(f"horizontal_weight must be in [0, 1], got {horizontal_weight}")

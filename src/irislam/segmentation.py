@@ -2,9 +2,9 @@
 
 Canny-style edge extraction (non-maximum suppression + hysteresis at the
 0.2/0.19 thresholds) followed by a circular Hough transform. The outer
-boundary is searched on a vertically-weighted gradient so horizontal
-eyelid edges contribute less, then the pupil is searched near the found
-iris center.
+boundary is searched on a gradient with its horizontal derivative scaled
+down (by default to 0, which keeps horizontal eyelid edges and drops most
+of the limbus's vertical flanks), then the pupil near the found iris center.
 """
 
 from __future__ import annotations
@@ -136,58 +136,74 @@ def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> E
     return EdgeMap(np.isin(labels, seed_labels))
 
 
+def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max: int):
+    """Ring correlation of mask e over block x block cells anchored at the
+    origin of the inclusive (x0, x1, y0, y1) box. Returns votes(lo, hi),
+    hi <= r_max: per cell C of the box, as an int64 array, the edge pixels
+    in cells C + D over the ring of offsets D with some rint|block*D + w|,
+    |w_axis| < block, in [lo, hi]. An edge pixel in cell P and a center in
+    cell C lie block*(P - C) + w apart, so a cell's votes bound each of its
+    centers' at every radius in [lo, hi]; at block 1 they are exact.
+    """
+    x0, x1, y0, y1 = box
+    h, w = e.shape
+    py, px = -y0 % block, -x0 % block  # puts the box origin on a cell corner
+    ch, cw = (h + py + block - 1) // block, (w + px + block - 1) // block
+    grid = np.zeros((ch * block, cw * block), dtype=np.float32)
+    grid[py : py + h, px : px + w] = e
+    cells = grid.reshape(ch, block, cw, block).sum(axis=(1, 3))
+
+    # Per axis, |block*D + w| runs from max(block|D| - block + 1, 0) to
+    # block|D| + block - 1. Offsets one unit step apart differ in distance by
+    # at most 1, so the rounded distances over w fill the integer range
+    # between those of the nearest and the farthest corner, and D is on the
+    # ring iff that range meets [lo, hi]. A rounded distance is at least its
+    # larger axis, so no ring reaches past R = ceil(r_max / block) cells.
+    R = -(-r_max // block)
+    d = block * np.abs(np.arange(-R, R + 1))
+    near, far = np.maximum(d - block + 1, 0), d + block - 1
+    q = np.arange(far.max() + 1)
+    rounded = np.rint(np.hypot(q[:, None], q)).astype(np.int32)  # [i, j]: rint|(i, j)|
+    nearest = rounded[near[:, None], near[None, :]]
+    farthest = rounded[far[:, None], far[None, :]]
+
+    # Pad by R, not by the full kernel width: circular wrap-around then lands
+    # only on output rows/columns below R, which the read window never
+    # touches, and kernel rows/columns that s=padded cuts off hold offsets at
+    # least as large as the cell grid, which no pair of its cells produces.
+    # The transforms run in single precision. Each vote is an integer count
+    # read through rint, and the round-trip error is bounded by
+    # |err| <~ eps32 * log2(N) * ||cells||_2 * ||ring||_2 (N the padded size).
+    # Cell sums are at most block^2, so ||cells||_2 <= block * ||e||_2: about
+    # 0.01 at block 1 and 0.04 at block 2 for an all-ones 280x320 map, and
+    # about 1e-3 for real eyes, far below the 0.5 rint margin, so every vote
+    # is the exact integer correlation, as in double precision.
+    padded = (sp_fft.next_fast_len(ch + R), sp_fft.next_fast_len(cw + R))
+    cells_fft = sp_fft.rfft2(cells, s=padded)
+    window = (  # the box's cells in padded output coordinates
+        slice(R + (y0 + py) // block, R + (y1 + py) // block + 1),
+        slice(R + (x0 + px) // block, R + (x1 + px) // block + 1),
+    )
+
+    def votes(lo: int, hi: int) -> np.ndarray:
+        ring = ((nearest <= hi) & (farthest >= lo)).astype(np.float32)
+        conv = sp_fft.irfft2(cells_fft * sp_fft.rfft2(ring, s=padded), s=padded)
+        return np.rint(conv[window]).astype(np.int64)
+
+    return votes
+
+
 def _radius_bounds(
     e: np.ndarray, box: tuple[int, int, int, int], r_min: int, r_max: int
 ) -> np.ndarray:
     """Integer upper bounds on the votes of any center in the inclusive
-    (x0, x1, y0, y1) box of mask e, one per radius r_min..r_max.
-
-    Edge pixels are summed over 2x2 blocks anchored at the box origin. An
-    edge pixel in block P and a center in block C differ by 2(P - C) + w
-    with w in {-1, 0, 1}^2, so correlating the block sums with a coarse
-    ring, every block offset D with some rint|2D + w| in a band of
-    _BAND radii, counts at least the votes of every center of C at every
-    radius of the band. The maximum over the box's blocks bounds the band.
-    """
-    x0, x1, y0, y1 = box
-    h, w = e.shape
-    # Shift the mask so the box origin lands on an even row and column.
-    py, px = y0 % 2, x0 % 2
-    bh, bw = (h + py + 1) // 2, (w + px + 1) // 2
-    grid = np.zeros((2 * bh, 2 * bw), dtype=np.float32)
-    grid[py : py + h, px : px + w] = e
-    blocks = grid.reshape(bh, 2, bw, 2).sum(axis=(1, 3))
-
-    # Per axis, |2D + w| runs from max(2|D| - 1, 0) to 2|D| + 1. Offsets one
-    # unit step apart differ in distance by at most 1, so the nine rounded
-    # distances fill the integer range between those of the nearest and the
-    # farthest corner, and D is on a band's ring iff that range meets the
-    # band. Offsets beyond r_max/2 + 1 are on no ring; padding by R keeps
-    # circular wrap-around out of the read window, as in circular_hough.
-    R = r_max // 2 + 2
-    two_d = 2 * np.abs(np.arange(-R, R + 1))
-    near, far = np.maximum(two_d - 1, 0), two_d + 1
-    nearest = np.rint(np.hypot(near[:, None], near[None, :]))
-    farthest = np.rint(np.hypot(far[:, None], far[None, :]))
-
-    # Single precision, with circular_hough's error bound
-    # |err| <~ eps32 * log2(N) * ||blocks||_2 * ||ring||_2. Block sums are at
-    # most 4, so ||blocks||_2 <= 2 ||e||_2; a coarse ring of an iris-sized
-    # band holds at most about 1100 offsets. That gives about 0.04 for an
-    # all-ones 280x320 map (measured 1e-3), far below the 0.5 rint margin,
-    # so every bound is the exact integer correlation.
-    padded = (sp_fft.next_fast_len(bh + R), sp_fft.next_fast_len(bw + R))
-    b_fft = sp_fft.rfft2(blocks, s=padded)
-    window = (  # the box's blocks in padded output coordinates
-        slice(R + (y0 + py) // 2, R + (y1 + py) // 2 + 1),
-        slice(R + (x0 + px) // 2, R + (x1 + px) // 2 + 1),
-    )
+    (x0, x1, y0, y1) box of mask e, one per radius r_min..r_max: per band
+    of _BAND radii, the most votes of any of the box's 2x2 cells."""
+    band_votes = _ring_votes(e, box, 2, r_max)
     bounds = np.empty(r_max - r_min + 1, dtype=np.int64)
     for lo in range(r_min, r_max + 1, _BAND):
         hi = min(lo + _BAND - 1, r_max)
-        ring = ((nearest <= hi) & (farthest >= lo)).astype(np.float32)
-        conv = sp_fft.irfft2(b_fft * sp_fft.rfft2(ring, s=padded), s=padded)
-        bounds[lo - r_min : hi - r_min + 1] = np.rint(conv[window].max())
+        bounds[lo - r_min : hi - r_min + 1] = band_votes(lo, hi).max()
     return bounds
 
 
@@ -207,16 +223,16 @@ def circular_hough(
     center_search is an inclusive (x0, x1, y0, y1) box restricting
     candidate centers; by default all in-image centers are considered.
 
-    The search bounds, then verifies. A quarter-size correlation of 2x2
-    block sums gives an integer upper bound on the votes of any center in
-    each band of _BAND radii (see _radius_bounds). Radii are then visited
-    in order of descending bound, then ascending r; each visited radius
-    gets its exact accumulator, an FFT correlation of the edge mask with
-    that radius's ring, which equals the brute-force count. The search
-    stops at the first radius whose bound is below the best vote count, so
-    no skipped radius could have won or tied. On a dense map no bound
-    falls below the best count; every radius is visited, and the cost is
-    that of the exact accumulators plus the bound pass.
+    The search bounds, then verifies, with one ring counter (_ring_votes)
+    at two cell sizes. Its votes over 2x2 cells give an integer upper bound
+    on the votes of any center in each band of _BAND radii (_radius_bounds).
+    Radii are then visited in order of descending bound, then ascending r;
+    each visited radius gets the counter's votes over 1x1 cells, which
+    equal the brute-force count. The search stops at the first radius whose
+    bound is below the best vote count, so no skipped radius could have won
+    or tied. On a dense map no bound falls below the best count; every
+    radius is visited, and the cost is that of the exact votes plus the
+    bound pass.
     """
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
@@ -239,28 +255,9 @@ def circular_hough(
     cy0, cy1 = max(by0 - r_max, 0), min(by1 + r_max, h - 1)
     cx0, cx1 = max(bx0 - r_max, 0), min(bx1 + r_max, w - 1)
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
-    sh, sw = sub.shape
-    bounds = _radius_bounds(sub, (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0), r_min, r_max)
-
-    # Pad by r_max, not by the full kernel width: circular wrap-around
-    # then lands only on output rows/columns below r_max, which the read
-    # window never touches, and kernel rows/columns that s=padded cuts off
-    # hold offsets at least as large as the crop, which no edge pixel in it
-    # can produce.
-    padded = (sp_fft.next_fast_len(sh + r_max), sp_fft.next_fast_len(sw + r_max))
-    # The transforms run in single precision. Each vote is an integer count
-    # read through rint, and the FFT round-trip error is bounded by
-    # |err| <~ eps32 * log2(N) * ||e||_2 * ||k||_2 (N the padded size, e the
-    # edge crop, k the ring): about 0.01 for an all-ones 280x320 map and
-    # about 1e-3 for real eyes, far below the 0.5 rint margin, so the votes,
-    # argmax and tie-breaks equal those of double precision.
-    e_fft = sp_fft.rfft2(sub.astype(np.float32), s=padded)
-    d = np.arange(-r_max, r_max + 1, dtype=np.float64)
-    ring = np.rint(np.hypot(d[:, None], d[None, :]))  # rounded distance of each offset
-    window = (  # candidate-center box in padded output coordinates
-        slice(r_max + by0 - cy0, r_max + by1 - cy0 + 1),
-        slice(r_max + bx0 - cx0, r_max + bx1 - cx0 + 1),
-    )
+    box = (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0)
+    bounds = _radius_bounds(sub, box, r_min, r_max)
+    exact_votes = _ring_votes(sub, box, 1, r_max)
 
     # Within one radius argmax takes the smallest cy, then cx, so across
     # radii the key (votes, -r) completes the tie-break.
@@ -270,9 +267,7 @@ def circular_hough(
         if bounds[i] < max(best_key[0], 1):  # a bound of 0 means no votes
             break
         r = r_min + int(i)
-        k_fft = sp_fft.rfft2((ring == r).astype(np.float32), s=padded)
-        conv = sp_fft.irfft2(e_fft * k_fft, s=padded)
-        votes = np.rint(conv[window]).astype(np.int64)
+        votes = exact_votes(r, r)
         key = (int(votes.max()), -r)
         if key > best_key:
             idx = int(np.argmax(votes))
@@ -283,6 +278,18 @@ def circular_hough(
     r, cy, cx = best
     fraction = min(1.0, best_key[0] / (2.0 * math.pi * r))
     return Circle(cx=float(cx), cy=float(cy), r=float(r)), fraction
+
+
+def _find_boundary(field: GradientField, cfg: LocalizationConfig, r_min: int, r_max: int,
+                   center_search: tuple[int, int, int, int] | None, name: str) -> Circle:
+    """Edge-map the field (NMS, then hysteresis) and return its best circle."""
+    # Hysteresis drops every pixel below t_low, so NMS need not visit them.
+    edges = hysteresis_threshold(non_max_suppression(field, cfg.t_low), cfg.t_high, cfg.t_low)
+    try:
+        circle, _ = circular_hough(edges, r_min, r_max, center_search)
+    except LocalizationError as exc:
+        raise LocalizationError(f"{name} boundary not found: {exc}") from exc
+    return circle
 
 
 def localize_iris(img: GrayImage, cfg: LocalizationConfig = LocalizationConfig()) -> IrisLocalization:
@@ -301,27 +308,11 @@ def localize_iris(img: GrayImage, cfg: LocalizationConfig = LocalizationConfig()
     grad = compute_gradient(smoothed)
 
     weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
-    # Hysteresis drops every pixel below t_low, so NMS need not visit them.
-    outer_edges = hysteresis_threshold(non_max_suppression(weighted, cfg.t_low),
-                                       cfg.t_high, cfg.t_low)
-    try:
-        iris, _ = circular_hough(outer_edges, cfg.iris_r_min, cfg.iris_r_max)
-    except LocalizationError as exc:
-        raise LocalizationError(f"iris boundary not found: {exc}") from exc
-
-    inner_edges = hysteresis_threshold(non_max_suppression(grad, cfg.t_low),
-                                       cfg.t_high, cfg.t_low)
+    iris = _find_boundary(weighted, cfg, cfg.iris_r_min, cfg.iris_r_max, None, "iris")
     slack = cfg.pupil_center_slack
-    box = (
-        int(iris.cx) - slack,
-        int(iris.cx) + slack,
-        int(iris.cy) - slack,
-        int(iris.cy) + slack,
-    )
-    try:
-        pupil, _ = circular_hough(inner_edges, cfg.pupil_r_min, cfg.pupil_r_max, center_search=box)
-    except LocalizationError as exc:
-        raise LocalizationError(f"pupil boundary not found: {exc}") from exc
+    cx, cy = int(iris.cx), int(iris.cy)
+    box = (cx - slack, cx + slack, cy - slack, cy + slack)
+    pupil = _find_boundary(grad, cfg, cfg.pupil_r_min, cfg.pupil_r_max, box, "pupil")
 
     try:
         return IrisLocalization(pupil=pupil, iris=iris)

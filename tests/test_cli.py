@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irislam.cli import main
-from irislam.imaging import load_gray_image
+from irislam.imaging import GrayImage, load_gray_image, save_gray_image
 from irislam.lamstar import LamstarNetwork, save_model, train
 from irislam.normalization import IrisTemplate, load_template
 
@@ -147,6 +147,16 @@ class TestTrainEvalCompare:
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "m.lns"))
         assert code == 2
+
+    def test_class_with_only_blank_training_images_exits_2(self, capsys, synth_root, tmp_path):
+        data = tmp_path / "eyes"
+        shutil.copytree(synth_root, data)
+        for path in sorted((data / "class000").glob("*.pgm"))[:2]:  # its training split
+            save_gray_image(GrayImage(np.zeros((280, 320))), path)
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "m.lns"),
+                           "--train-per-class", "2")
+        assert code == 2
+        assert "data error: class class000 lost all training images" in err
 
     def test_model_directory_exits_2(self, capsys, synth_root, tmp_path):
         code, _, err = run(capsys, "eval", "--model", str(tmp_path),

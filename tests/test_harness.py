@@ -85,6 +85,11 @@ class TestIndexDataset:
         assert not train & test
 
 
+def save_blank_eye(path):
+    """A flat 320x280 image: full size, but with no edge for the Hough."""
+    save_gray_image(GrayImage(np.zeros((280, 320))), path)
+
+
 @pytest.fixture(scope="module")
 def trained(small_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
@@ -282,6 +287,36 @@ class TestRunEval:
         for key in ("lamstar.epochs", "lamstar.learning_rate",
                     "lamstar.convergence_target", "lamstar.max_update_iters"):
             assert key not in echo
+
+
+class TestLocalizationFailures:
+    def test_failed_test_image_is_reported_and_not_cached(self, trained, tmp_path):
+        root, _, cfg, model_path, _ = trained
+        data = tmp_path / "data"
+        shutil.copytree(root, data, ignore=shutil.ignore_patterns(".template_cache"))
+        blank = data / "class001" / "zz_blank.pgm"  # sorts after the class's test images
+        save_blank_eye(blank)
+        index = index_dataset(data, cfg.train_per_class)
+        assert blank in [e.path for e in index.split("test")]
+        report = run_eval(model_path, index, cfg)
+        assert report.num_failed == 1
+        assert report.num_test == len(index.split("test")) - 1 == int(report.confusion.sum())
+        txt, kv = write_report(report, index.class_names, tmp_path / "report")
+        assert "\nnum_failed = 1\n" in kv.read_text()
+        assert "\nexcluded by localization failure: 1\n" in txt.read_text()
+        cached = [p.stem for p in (data / ".template_cache").rglob("*.irt")]
+        assert blank.stem not in cached
+        assert len(cached) == report.num_test
+
+    def test_class_with_only_blank_training_images_is_error(self, trained, tmp_path):
+        root, index, cfg, _, _ = trained
+        data = tmp_path / "data"
+        shutil.copytree(root, data)  # with the warm cache
+        for entry in index.split("train"):
+            if entry.class_id == 0:
+                save_blank_eye(data / entry.path.relative_to(root))
+        with pytest.raises(DatasetError, match=f"class {index.class_names[0]} lost all"):
+            run_train(index_dataset(data, cfg.train_per_class), cfg, tmp_path / "m.lns")
 
 
 class TestReports:

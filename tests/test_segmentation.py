@@ -23,6 +23,7 @@ from irislam.segmentation import (
     IrisLocalization,
     LocalizationConfig,
     _radius_bounds,
+    _ring_votes,
     circular_hough,
     hysteresis_threshold,
     localize_iris,
@@ -134,14 +135,29 @@ def brute_hough(edges: np.ndarray, r_min, r_max, center_box=None):
     return best
 
 
-def exact_radius_peaks(edges: np.ndarray, r_min, r_max, box):
-    """Per-radius maximum of the exact vote count over the centers of an
-    inclusive (x0, x1, y0, y1) box inside the map."""
+def exact_votes(edges: np.ndarray, r_min, r_max, box):
+    """Brute-force vote count of every center of an inclusive
+    (x0, x1, y0, y1) box inside the map, as a (radius, row, column) array
+    over r_min..r_max."""
     x0, x1, y0, y1 = box
     pts = np.argwhere(edges)  # (y, x)
     cy, cx = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
     d = np.rint(np.hypot(pts[:, 1] - cx.reshape(-1, 1), pts[:, 0] - cy.reshape(-1, 1)))
-    return (d[:, :, None] == np.arange(r_min, r_max + 1)).sum(axis=1).max(axis=0)
+    votes = (d[:, :, None] == np.arange(r_min, r_max + 1)).sum(axis=1)
+    return votes.T.reshape(r_max - r_min + 1, *cy.shape)
+
+
+def exact_radius_peaks(edges: np.ndarray, r_min, r_max, box):
+    """Per-radius maximum of the exact vote count over the centers of an
+    inclusive (x0, x1, y0, y1) box inside the map."""
+    return exact_votes(edges, r_min, r_max, box).max(axis=(1, 2))
+
+
+def clip_box(edges: np.ndarray, box):
+    """The part of an optional (x0, x1, y0, y1) center box inside the map."""
+    h, w = edges.shape
+    x0, x1, y0, y1 = box or (0, w - 1, 0, h - 1)
+    return max(x0, 0), min(x1, w - 1), max(y0, 0), min(y1, h - 1)
 
 
 def rasterize_circle(h, w, cx, cy, r, arc=(0.0, 2 * math.pi)):
@@ -409,6 +425,31 @@ class TestCircularHough:
         bounds = _radius_bounds(edges, box, r_min, r_max)
         assert bounds.shape == (r_max - r_min + 1,)
         assert np.all(bounds >= exact_radius_peaks(edges, r_min, r_max, box))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
+    def test_counter_at_cell_size_1_is_the_exact_vote_grid(self, case):
+        edges, r_min, r_max, box = case
+        box = clip_box(edges, box)
+        votes = _ring_votes(edges, box, 1, r_max)
+        exact = exact_votes(edges, r_min, r_max, box)
+        for r in range(r_min, r_max + 1):
+            np.testing.assert_array_equal(votes(r, r), exact[r - r_min])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
+    def test_counter_at_cell_size_2_covers_each_center_of_a_cell(self, case):
+        edges, r_min, r_max, box = case
+        box = clip_box(edges, box)
+        votes = _ring_votes(edges, box, 2, r_max)
+        exact = exact_votes(edges, r_min, r_max, box)
+        rows, cols = np.indices(exact.shape[1:]) // 2  # cells anchored at the box origin
+        for lo in range(r_min, r_max + 1, 2):
+            hi = min(lo + 1, r_max)
+            cell_votes = votes(lo, hi)
+            assert cell_votes.shape == (rows.max() + 1, cols.max() + 1)
+            for r in range(lo, hi + 1):
+                assert np.all(cell_votes[rows, cols] >= exact[r - r_min])
 
     def test_radius_whose_bound_equals_best_votes_is_visited(self):
         # Concentric rings of equal pixel counts tie; a few pixels one past
