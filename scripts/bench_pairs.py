@@ -7,7 +7,8 @@ drift falls on both sides alike. Choose the seeds before measuring. With
 --trace1-seed, each side also runs one trace-1 unit per workload first.
 Every record is the run's .perfbench_out/ file, unedited. The summary
 gives, per workload and end-to-end metric of BENCHMARK.json, each side's
-quartiles over the seeds and the number of pairs the change won.
+quartiles over the seeds and the number of pairs the change won, and
+per workload each side's trace-1 correctness (null when not run).
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seeds 921 922 ...
        [--workloads enroll train identify] [--trace1-seed 5] [--out BENCH_n.json]
@@ -29,7 +30,10 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(record.read_text())
 
 
-def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+def summarize(parent: list[dict], change: list[dict], metrics: list[dict],
+              trace1: dict[str, list[dict]] | None = None) -> dict:
+    """Summary of one workload's trace-0 records of each side; trace1 maps
+    a side to its trace-1 records of the workload."""
     out = {}
     for m in metrics:
         p = [r["result"]["metrics"][m["name"]]["value"] for r in parent]
@@ -46,6 +50,9 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     out["correct"] = all(r["result"]["correct"] for r in records)
     out["failed"] = {"parent": sum(r["result"]["failed"] for r in parent),
                      "change": sum(r["result"]["failed"] for r in change)}
+    trace1 = trace1 or {}
+    out["trace1_correct"] = {side: all(r["result"]["correct"] for r in trace1[side])
+                             if trace1.get(side) else None for side in ("parent", "change")}
     return out
 
 
@@ -77,9 +84,9 @@ def main():
                 out["trace0"][side].append(run(sides[side], w, seed, 0))
                 print(f"pair {i} seed {seed} {w} {side} done", flush=True)
     for w in args.workloads:
-        parent, change = ([r for r in out["trace0"][side] if r["workload"] == w]
-                          for side in sides)
-        out["summary"][w] = summarize(parent, change, metrics)
+        trace0, trace1 = ({side: [r for r in out[trace][side] if r["workload"] == w]
+                           for side in sides} for trace in ("trace0", "trace1"))
+        out["summary"][w] = summarize(trace0["parent"], trace0["change"], metrics, trace1)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps(out["summary"], indent=1))
 

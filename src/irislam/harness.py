@@ -83,10 +83,12 @@ class HarnessConfig:
         lam, loc = self.lamstar, self.localization
         # Each test is written so that NaN fails it.
         for key, ok, need in (
-            ("shift_range", self.shift_range >= 0, ">= 0"),
             ("train_per_class", self.train_per_class >= 1, ">= 1"),
             ("radial_res", self.radial_res >= 2, ">= 2"),
             ("angular_res", self.angular_res >= 4, ">= 4"),
+            # A wider window only repeats shifts it has already searched.
+            ("shift_range", 0 <= self.shift_range <= self.angular_res // 2,
+             f"in [0, angular_res // 2 = {self.angular_res // 2}]"),
             ("lamstar.epochs", lam.epochs >= 1, ">= 1"),
             ("lamstar.max_update_iters", lam.max_update_iters >= 1, ">= 1"),
             ("lamstar.delta", 0 < lam.delta < math.inf, "finite and > 0"),

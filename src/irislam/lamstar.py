@@ -136,17 +136,24 @@ class LamstarNetwork:
             self._links = (variant, self.decision.effective_matrix(variant))
         return self._links[1]
 
-    def _find_winners(self, subwords: np.ndarray) -> np.ndarray:
-        """Global neuron id of the winner per module, -1 for abstentions.
-        subwords is (..., num_modules, dim) of unit or all-zero rows in any
-        memory layout; an all-zero row abstains."""
-        # One layout for every caller fixes the order each dot is summed in.
-        subwords = np.ascontiguousarray(subwords)
-        dots = np.matmul(self.neurons, subwords[..., None])[..., 0]
-        dots[..., ~self._valid] = -np.inf
-        ok = (dots.max(axis=-1) >= self.config.winner_threshold) & subwords.any(axis=-1)
-        gids = self.decision.offsets[:-1] + np.argmax(dots, axis=-1)
-        return np.where(ok, gids, -1)
+    def _find_winners(self, cols: np.ndarray, shifts: np.ndarray | list[int]) -> np.ndarray:
+        """Global neuron id of the winner per shift and module, shape
+        (len(shifts), num_modules), -1 for abstentions. cols is the
+        (num_modules, dim) subword matrix of unit or all-zero rows; module
+        m at shift s reads row (m - s) % num_modules, as
+        np.roll(values, s, axis=1) places it. An all-zero row abstains."""
+        index = (np.arange(self.num_modules)[:, None] - shifts) % self.num_modules
+        # Each module's window as one contiguous (dim, shifts) operand: one
+        # product per module. With one shift it is the (dim, 1) product
+        # train has always made, so the order each dot is summed in, and
+        # with it the trained model, does not depend on the caller.
+        window = np.ascontiguousarray(cols[index].transpose(0, 2, 1))
+        dots = np.matmul(self.neurons, window)  # (modules, capacity, shifts)
+        dots[~self._valid] = -np.inf
+        winner = np.argmax(dots, axis=1)
+        top = np.take_along_axis(dots, winner[:, None], axis=1)[:, 0]
+        ok = (top >= self.config.winner_threshold) & cols.any(axis=1)[index]
+        return np.where(ok, self.decision.offsets[:-1, None] + winner, -1).T
 
 
 def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None, bool]:
@@ -215,7 +222,7 @@ def train(
     net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
-    winners = [net._find_winners(cols) for cols in columns]
+    winners = [net._find_winners(cols, [0])[0] for cols in columns]
 
     dec = net.decision
     epoch_errors: list[int] = []
@@ -256,9 +263,7 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     eff = net._link_scores()
     cols = subword_matrix(t.values)
     shifts = np.arange(-shift_range, shift_range + 1)
-    # Module m at shift s reads column m - s, as np.roll(values, s, axis=1) does.
-    index = (np.arange(net.num_modules) - shifts[:, None]) % net.num_modules
-    gids = net._find_winners(cols[index])
+    gids = net._find_winners(cols, shifts)
     scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],

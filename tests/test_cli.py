@@ -198,7 +198,9 @@ class TestTrainEvalCompare:
         assert code == 2
         assert "data error" in err
 
-    def test_negative_shift_range_exits_3_before_segmenting(self, capsys, synth_root, tmp_path):
+    @staticmethod
+    def unsegmented_eval_inputs(synth_root, tmp_path):
+        """A copy of the dataset with no template cache, and a model of its shape."""
         data = tmp_path / "eyes"
         shutil.copytree(synth_root, data, ignore=shutil.ignore_patterns(".template_cache"))
         rng = np.random.default_rng(3)
@@ -206,6 +208,21 @@ class TestTrainEvalCompare:
         train(net, [IrisTemplate(rng.random((20, 480))) for _ in range(2)], [0, 1])
         model = tmp_path / "m.lns"
         save_model(net, model)
+        return data, model
+
+    @pytest.mark.parametrize("shift_range", ["241", "1000000000"])
+    def test_oversized_shift_range_exits_3_before_segmenting(self, capsys, synth_root, tmp_path,
+                                                            shift_range):
+        # above angular_res // 2 = 240 a window only repeats shifts
+        data, model = self.unsegmented_eval_inputs(synth_root, tmp_path)
+        code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                           "--train-per-class", "2", "--shift-range", shift_range)
+        assert code == 3
+        assert "shift_range" in err
+        assert not (data / ".template_cache").exists()
+
+    def test_negative_shift_range_exits_3_before_segmenting(self, capsys, synth_root, tmp_path):
+        data, model = self.unsegmented_eval_inputs(synth_root, tmp_path)
         code, _, _ = run(capsys, "eval", "--model", str(model), "--data", str(data),
                          "--train-per-class", "2", "--shift-range", "-1")
         assert code == 3

@@ -366,7 +366,8 @@ class TestCompareVariants:
 
 # Every int field has a lower bound of at most 4 and every float field
 # accepts (0, 1]; with the bounded localization pairs put in order below,
-# these draws are all valid configurations.
+# and shift_range at most the smallest angular_res // 2, these draws are
+# all valid configurations.
 _FIELD_VALUES = {
     int: st.integers(4, 10**6),
     float: st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
@@ -377,7 +378,7 @@ _FIELD_VALUES = {
 def _configs(cls, **nested):
     kinds = get_type_hints(cls)
     return st.builds(cls, **{name: _FIELD_VALUES[kinds[name]]
-                             for name in kinds if kinds[name] in _FIELD_VALUES}, **nested)
+                             for name in kinds if kinds[name] in _FIELD_VALUES} | nested)
 
 
 def _ordered(loc: LocalizationConfig) -> LocalizationConfig:
@@ -391,7 +392,8 @@ def _ordered(loc: LocalizationConfig) -> LocalizationConfig:
 
 class TestFlatSettings:
     @given(_configs(HarnessConfig, localization=_configs(LocalizationConfig).map(_ordered),
-                    lamstar=_configs(LamstarConfig), cache_dir=st.none() | st.text()))
+                    lamstar=_configs(LamstarConfig), cache_dir=st.none() | st.text(),
+                    shift_range=st.integers(0, 2)))
     @example(HarnessConfig())
     @example(HarnessConfig(cache_dir="templates/cache"))
     def test_echo_round_trip(self, cfg):
@@ -417,3 +419,11 @@ class TestFlatSettings:
     def test_bad_setting_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             HarnessConfig().with_settings({key: value})
+
+    def test_shift_range_bounded_by_half_the_ring(self):
+        cfg = HarnessConfig().with_settings({"angular_res": "64", "shift_range": "32"})
+        assert (cfg.angular_res, cfg.shift_range) == (64, 32)
+        assert HarnessConfig(angular_res=5, shift_range=2).shift_range == 2
+        for angular_res, shift_range in ((64, 33), (5, 3), (480, 10**9)):
+            with pytest.raises(ConfigError, match="shift_range"):
+                HarnessConfig(angular_res=angular_res, shift_range=shift_range)

@@ -23,7 +23,10 @@ from irislam.synthdata import make_benchmark
 
 # sha256 over (class index, shift, score bytes) of every pinned probe in
 # TestClassify.test_outputs_pinned, recorded from the einsum winner search
-# that preceded the stacked matmul; any rewrite must reproduce them.
+# that preceded the stacked matmul. Both the stacked matmul and the one
+# product per module over the shift window reproduced them unchanged,
+# though the window product sums the dots in another order; any rewrite
+# must reproduce them.
 CLASSIFY_SHA256 = {
     False: "a443d12186f56bc7a2806745f6db96cf6fdea862593849f9293e5d78c753d721",
     True: "70f4b28bd441703c4077f89d05fad1360d22fdf33ec7c50b05fb68b97303452b",
@@ -429,6 +432,37 @@ class TestClassify:
         train(net, templates + more, labels + [0, 1])
         check((True, False))
 
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([0.95, 0.5, -1.0]), st.booleans())
+    def test_shift_window_matches_reference(self, data, threshold, normalized):
+        # small trained networks, with shift windows up to past the ring
+        # size, so the window wraps more than once
+        num_modules = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(1, 4))
+        num_classes = data.draw(st.integers(1, 3))
+        elements = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+        values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), dim, num_modules),
+                                  elements=elements))
+        # all-zero columns in every template leave those modules empty
+        values[..., data.draw(arrays(bool, num_modules))] = 0.0
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1),
+                                    min_size=len(values), max_size=len(values)))
+        net = LamstarNetwork(num_modules, dim, num_classes,
+                             LamstarConfig(winner_threshold=threshold, normalized=normalized))
+        train(net, [IrisTemplate(v) for v in values], labels)
+        if data.draw(st.booleans()):  # a rotated training template
+            probe = np.roll(values[data.draw(st.integers(0, len(values) - 1))],
+                            data.draw(st.integers(0, num_modules - 1)), axis=1)
+        else:
+            probe = data.draw(arrays(np.float64, (dim, num_modules), elements=elements))
+        probe[:, data.draw(arrays(bool, num_modules))] = 0.0
+        t = IrisTemplate(probe)
+        shift_range = data.draw(st.integers(0, 2 * num_modules + 1))
+        pred = classify(net, t, shift_range)
+        class_index, shift, scores = reference_classify(net, t, shift_range)
+        assert (pred.class_index, pred.shift) == (class_index, shift)
+        assert pred.scores.tobytes() == scores.tobytes()
 
     @pytest.fixture(scope="class")
     def seed11_templates(self):

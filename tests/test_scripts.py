@@ -70,3 +70,16 @@ class TestBenchSummary:
         assert out["setup_s"]["change_better_pairs"] == 1
         assert out["correct"] is False
         assert out["failed"] == {"parent": 3, "change": 1}
+
+    def test_trace1_correctness_per_side(self):
+        summarize = load_bench_pairs().summarize
+        parent = records({"items_per_s": [2.0], "setup_s": [1.0]})
+        change = records({"items_per_s": [3.0], "setup_s": [1.0]})
+        # a failed trace-1 check reaches the summary though every trace-0 run passed
+        trace1 = {"parent": records({"items_per_s": [1.0]}),
+                  "change": records({"items_per_s": [1.0, 1.0]}, correct=[True, False])}
+        out = summarize(parent, change, self.metrics, trace1)
+        assert out["correct"] is True
+        assert out["trace1_correct"] == {"parent": True, "change": False}
+        assert summarize(parent, change, self.metrics)["trace1_correct"] == {
+            "parent": None, "change": None}
