@@ -6,9 +6,10 @@ on odd-numbered pairs and the change first on even-numbered ones, so host
 drift falls on both sides alike. Choose the seeds before measuring. With
 --trace1-seed, each side also runs one trace-1 unit per workload first.
 Every record is the run's .perfbench_out/ file, unedited. The summary
-gives, per workload and end-to-end metric of BENCHMARK.json, each side's
-quartiles over the seeds and the number of pairs the change won, and
-per workload each side's trace-1 correctness (null when not run).
+gives, per workload and end-to-end metric of BENCHMARK.json and for the
+raw host throughput `detail.host_items_per_s`, each side's quartiles over
+the seeds and the number of pairs the change won, and per workload each
+side's trace-1 correctness (null when not run).
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seeds 921 922 ...
        [--workloads enroll train identify] [--trace1-seed 5] [--out BENCH_n.json]
@@ -34,18 +35,25 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict],
               trace1: dict[str, list[dict]] | None = None) -> dict:
     """Summary of one workload's trace-0 records of each side; trace1 maps
     a side to its trace-1 records of the workload."""
-    out = {}
-    for m in metrics:
-        p = [r["result"]["metrics"][m["name"]]["value"] for r in parent]
-        c = [r["result"]["metrics"][m["name"]]["value"] for r in change]
-        higher = m["better"] == "higher"
-        out[m["name"]] = {
+    def compare(p: list[float], c: list[float], higher: bool) -> dict:
+        return {
             "parent_q1_median_q3": statistics.quantiles(p, n=4, method="inclusive")
             if len(p) > 1 else p * 3,
             "change_q1_median_q3": statistics.quantiles(c, n=4, method="inclusive")
             if len(c) > 1 else c * 3,
             "change_better_pairs": sum((b > a) if higher else (b < a) for a, b in zip(p, c)),
         }
+
+    out = {}
+    for m in metrics:
+        out[m["name"]] = compare([r["result"]["metrics"][m["name"]]["value"] for r in parent],
+                                 [r["result"]["metrics"][m["name"]]["value"] for r in change],
+                                 m["better"] == "higher")
+    # The raw throughput beside the host-calibrated one: they can disagree
+    # on which side of a pair was faster.
+    out["detail.host_items_per_s"] = compare([r["detail"]["host_items_per_s"] for r in parent],
+                                             [r["detail"]["host_items_per_s"] for r in change],
+                                             True)
     records = parent + change
     out["correct"] = all(r["result"]["correct"] for r in records)
     out["failed"] = {"parent": sum(r["result"]["failed"] for r in parent),

@@ -5,10 +5,21 @@ Canny-style edge extraction (non-maximum suppression + hysteresis at the
 boundary is searched on a gradient with its horizontal derivative scaled
 down (by default to 0, which keeps horizontal eyelid edges and drops most
 of the limbus's vertical flanks), then the pupil near the found iris center.
+
+The Hough is a best-first search over radius bands at cell sizes 4, 2 and
+1 (_LEVELS), all counted by one single-precision FFT ring correlation
+(_ring_votes). Each FFT axis is padded only as far as circular wrap-around
+could reach the cells that are read, so a crop that already reaches r_max
+beyond the center box (the pupil pass) is padded only up to the next fast
+FFT size. Every count is an integer read through rint; the float32
+round-trip error bound is about 0.05 at cell size 4 and 0.03 for two-radius
+rings at cell size 1 on an all-ones 280x320 map, far below the 0.5 margin,
+so votes, circles and tie-breaks equal those of double precision.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +37,9 @@ from irislam.imaging import (
 )
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-_BAND = 2  # radii per band of the coarse vote bound
+# (cell size, radii per band) of the Hough's radius-band search, coarse to
+# exact; each level's cell size and band width divide the level's above.
+_LEVELS = ((4, 4), (2, 2), (1, 2), (1, 1))
 
 
 @dataclass(eq=False)
@@ -167,23 +180,28 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     nearest = rounded[near[:, None], near[None, :]]
     farthest = rounded[far[:, None], far[None, :]]
 
-    # Pad by R, not by the full kernel width: circular wrap-around then lands
-    # only on output rows/columns below R, which the read window never
-    # touches, and kernel rows/columns that s=padded cuts off hold offsets at
-    # least as large as the cell grid, which no pair of its cells produces.
+    # The read window is the box's cells w0..w1 per axis, at output index
+    # R + w. Linear correlation output runs over 0..cells + 2R - 1, so a
+    # circular one of size n >= cells + R - w0 wraps nothing onto the window
+    # from above, n >= w1 + R + 1 nothing from below, and n >= 2R + 1 keeps
+    # the whole kernel. A crop that reaches R cells beyond the box (the pupil
+    # pass) thus needs no padding past its own size; cells beyond n that a
+    # short transform cuts off lie more than R cells past the window.
     # The transforms run in single precision. Each vote is an integer count
     # read through rint, and the round-trip error is bounded by
     # |err| <~ eps32 * log2(N) * ||cells||_2 * ||ring||_2 (N the padded size).
-    # Cell sums are at most block^2, so ||cells||_2 <= block * ||e||_2: about
-    # 0.01 at block 1 and 0.04 at block 2 for an all-ones 280x320 map, and
-    # about 1e-3 for real eyes, far below the 0.5 rint margin, so every vote
-    # is the exact integer correlation, as in double precision.
-    padded = (sp_fft.next_fast_len(ch + R), sp_fft.next_fast_len(cw + R))
+    # Cell sums are at most block^2, so ||cells||_2 <= block * ||e||_2. For
+    # an all-ones 280x320 map at radii up to 150 the bound is about 0.05 at
+    # block 4 (bands of 4 radii), 0.04 at block 2 (bands of 2), 0.03 at block
+    # 1 for two-radius rings and 0.02 for one radius (measured: at most 2e-3),
+    # and about 1e-3 for real eyes, far below the 0.5 rint margin, so every
+    # vote is the exact integer correlation, as in double precision.
+    first = ((y0 + py) // block, (x0 + px) // block)
+    last = ((y1 + py) // block, (x1 + px) // block)
+    padded = tuple(sp_fft.next_fast_len(max(n + R - w0, w1 + R + 1, 2 * R + 1))
+                   for n, w0, w1 in zip((ch, cw), first, last))
     cells_fft = sp_fft.rfft2(cells, s=padded)
-    window = (  # the box's cells in padded output coordinates
-        slice(R + (y0 + py) // block, R + (y1 + py) // block + 1),
-        slice(R + (x0 + px) // block, R + (x1 + px) // block + 1),
-    )
+    window = tuple(slice(R + w0, R + w1 + 1) for w0, w1 in zip(first, last))
 
     def votes(lo: int, hi: int) -> np.ndarray:
         ring = ((nearest <= hi) & (farthest >= lo)).astype(np.float32)
@@ -191,20 +209,6 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
         return np.rint(conv[window]).astype(np.int64)
 
     return votes
-
-
-def _radius_bounds(
-    e: np.ndarray, box: tuple[int, int, int, int], r_min: int, r_max: int
-) -> np.ndarray:
-    """Integer upper bounds on the votes of any center in the inclusive
-    (x0, x1, y0, y1) box of mask e, one per radius r_min..r_max: per band
-    of _BAND radii, the most votes of any of the box's 2x2 cells."""
-    band_votes = _ring_votes(e, box, 2, r_max)
-    bounds = np.empty(r_max - r_min + 1, dtype=np.int64)
-    for lo in range(r_min, r_max + 1, _BAND):
-        hi = min(lo + _BAND - 1, r_max)
-        bounds[lo - r_min : hi - r_min + 1] = band_votes(lo, hi).max()
-    return bounds
 
 
 def circular_hough(
@@ -223,16 +227,17 @@ def circular_hough(
     center_search is an inclusive (x0, x1, y0, y1) box restricting
     candidate centers; by default all in-image centers are considered.
 
-    The search bounds, then verifies, with one ring counter (_ring_votes)
-    at two cell sizes. Its votes over 2x2 cells give an integer upper bound
-    on the votes of any center in each band of _BAND radii (_radius_bounds).
-    Radii are then visited in order of descending bound, then ascending r;
-    each visited radius gets the counter's votes over 1x1 cells, which
-    equal the brute-force count. The search stops at the first radius whose
-    bound is below the best vote count, so no skipped radius could have won
-    or tied. On a dense map no bound falls below the best count; every
-    radius is visited, and the cost is that of the exact votes plus the
-    bound pass.
+    The search is best-first over radius bands, coarse to fine through
+    _LEVELS, with one ring counter (_ring_votes) per cell size. Evaluating
+    a band gives the most votes of any of the box's cells; a band that is
+    not yet one radius at cell size 1 splits into the next level's bands,
+    each bounded by that count. Every cell grid is anchored at the box
+    origin, so the cells nest and a count bounds every finer band and cell
+    inside it. Bands are popped by descending bound, then ascending lo, and
+    the search stops at the first bound below the best vote count: a band
+    whose bound equals it is still visited, so no skipped radius could have
+    won or tied. On a dense map nothing is pruned, and every radius is
+    evaluated at every level.
     """
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
@@ -240,6 +245,10 @@ def circular_hough(
     if not e.any():
         raise LocalizationError("no boundary found: edge map is empty")
     h, w = e.shape
+    # No rounded distance between two in-image points exceeds the diagonal.
+    r_max = min(r_max, int(np.rint(np.hypot(h - 1, w - 1))))
+    if r_min > r_max:
+        raise LocalizationError("no boundary found: accumulator is empty")
     if center_search is None:
         bx0, bx1, by0, by1 = 0, w - 1, 0, h - 1
     else:
@@ -256,23 +265,30 @@ def circular_hough(
     cx0, cx1 = max(bx0 - r_max, 0), min(bx1 + r_max, w - 1)
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     box = (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0)
-    bounds = _radius_bounds(sub, box, r_min, r_max)
-    exact_votes = _ring_votes(sub, box, 1, r_max)
+    counters = {block: _ring_votes(sub, box, block, r_max) for block in {b for b, _ in _LEVELS}}
 
+    # Heap entries are (-bound, lo, level). No count exceeds the crop's edge
+    # pixels, which bounds the top level's bands; a sorted list is a heap.
     # Within one radius argmax takes the smallest cy, then cx, so across
     # radii the key (votes, -r) completes the tie-break.
+    top = int(np.count_nonzero(sub))
+    heap = [(-top, lo, 0) for lo in range(r_min, r_max + 1, _LEVELS[0][1])]
     best_key = (0, 0)
     best: tuple[int, int, int] | None = None  # (r, cy, cx) in image coords
-    for i in np.argsort(-bounds, kind="stable"):  # ties in ascending r
-        if bounds[i] < max(best_key[0], 1):  # a bound of 0 means no votes
+    while heap:
+        neg_bound, lo, level = heapq.heappop(heap)
+        if -neg_bound < max(best_key[0], 1):  # a bound of 0 means no votes
             break
-        r = r_min + int(i)
-        votes = exact_votes(r, r)
-        key = (int(votes.max()), -r)
-        if key > best_key:
+        block, width = _LEVELS[level]
+        votes = counters[block](lo, min(lo + width - 1, r_max))
+        count = int(votes.max())
+        if level + 1 < len(_LEVELS):
+            for child in range(lo, min(lo + width, r_max + 1), _LEVELS[level + 1][1]):
+                heapq.heappush(heap, (-count, child, level + 1))
+        elif (count, -lo) > best_key:
             idx = int(np.argmax(votes))
-            best_key = key
-            best = (r, by0 + idx // votes.shape[1], bx0 + idx % votes.shape[1])
+            best_key = (count, -lo)
+            best = (lo, by0 + idx // votes.shape[1], bx0 + idx % votes.shape[1])
     if best is None:
         raise LocalizationError("no boundary found: accumulator is empty")
     r, cy, cx = best

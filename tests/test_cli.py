@@ -64,6 +64,16 @@ class TestSegment:
         assert code == 2
         assert "data error" in err
 
+    def test_radius_bound_past_the_image_diagonal_exits_cleanly(self, capsys, synth_root,
+                                                                 tmp_path):
+        # The Hough searches no radius beyond the image diagonal.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("localization.iris_r_max = 100000\n")
+        code, _, err = run(capsys, "segment", str(first_image(synth_root)),
+                           "--config", str(cfg))
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+
     def test_unsegmentable_exits_3(self, capsys, tmp_path):
         from irislam.imaging import GrayImage, save_gray_image
         p = tmp_path / "flat.pgm"

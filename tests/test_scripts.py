@@ -33,12 +33,14 @@ def load_bench_pairs():
     return module
 
 
-def records(values: dict[str, list[float]], correct=None, failed=None) -> list[dict]:
+def records(values: dict[str, list[float]], correct=None, failed=None, host=None) -> list[dict]:
     n = len(next(iter(values.values())))
     correct = correct or [True] * n
     failed = failed or [0] * n
+    host = host or [1.0] * n
     return [{"result": {"metrics": {k: {"value": v[i]} for k, v in values.items()},
-                        "correct": correct[i], "failed": failed[i]}} for i in range(n)]
+                        "correct": correct[i], "failed": failed[i]},
+             "detail": {"host_items_per_s": host[i]}} for i in range(n)]
 
 
 class TestBenchSummary:
@@ -83,3 +85,16 @@ class TestBenchSummary:
         assert out["trace1_correct"] == {"parent": True, "change": False}
         assert summarize(parent, change, self.metrics)["trace1_correct"] == {
             "parent": None, "change": None}
+
+    def test_raw_host_throughput_beside_calibrated(self):
+        summarize = load_bench_pairs().summarize
+        # calibrated throughput has the change ahead in 3 pairs, raw in 1
+        parent = records({"items_per_s": [1, 1, 1, 1], "setup_s": [1, 1, 1, 1]},
+                         host=[10, 12, 14, 16])
+        change = records({"items_per_s": [2, 2, 2, 0], "setup_s": [1, 1, 1, 1]},
+                         host=[9, 11, 15, 13])
+        out = summarize(parent, change, self.metrics)
+        assert out["items_per_s"]["change_better_pairs"] == 3
+        assert out["detail.host_items_per_s"] == {"parent_q1_median_q3": [11.5, 13.0, 14.5],
+                                                  "change_q1_median_q3": [10.5, 12.0, 13.5],
+                                                  "change_better_pairs": 1}

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import fft as sp_fft
 from scipy import ndimage
 
+from irislam import segmentation
 from irislam.errors import LocalizationError
 from irislam.imaging import (
     GradientField,
@@ -22,7 +23,7 @@ from irislam.segmentation import (
     EdgeMap,
     IrisLocalization,
     LocalizationConfig,
-    _radius_bounds,
+    _LEVELS,
     _ring_votes,
     circular_hough,
     hysteresis_threshold,
@@ -145,12 +146,6 @@ def exact_votes(edges: np.ndarray, r_min, r_max, box):
     d = np.rint(np.hypot(pts[:, 1] - cx.reshape(-1, 1), pts[:, 0] - cy.reshape(-1, 1)))
     votes = (d[:, :, None] == np.arange(r_min, r_max + 1)).sum(axis=1)
     return votes.T.reshape(r_max - r_min + 1, *cy.shape)
-
-
-def exact_radius_peaks(edges: np.ndarray, r_min, r_max, box):
-    """Per-radius maximum of the exact vote count over the centers of an
-    inclusive (x0, x1, y0, y1) box inside the map."""
-    return exact_votes(edges, r_min, r_max, box).max(axis=(1, 2))
 
 
 def clip_box(edges: np.ndarray, box):
@@ -417,17 +412,6 @@ class TestCircularHough:
 
     @settings(max_examples=60, deadline=None)
     @given(case=hough_cases())
-    def test_bound_covers_exact_votes_per_radius(self, case):
-        edges, r_min, r_max, box = case
-        h, w = edges.shape
-        x0, x1, y0, y1 = box or (0, w - 1, 0, h - 1)
-        box = (max(x0, 0), min(x1, w - 1), max(y0, 0), min(y1, h - 1))
-        bounds = _radius_bounds(edges, box, r_min, r_max)
-        assert bounds.shape == (r_max - r_min + 1,)
-        assert np.all(bounds >= exact_radius_peaks(edges, r_min, r_max, box))
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=hough_cases())
     def test_counter_at_cell_size_1_is_the_exact_vote_grid(self, case):
         edges, r_min, r_max, box = case
         box = clip_box(edges, box)
@@ -438,23 +422,59 @@ class TestCircularHough:
 
     @settings(max_examples=60, deadline=None)
     @given(case=hough_cases())
-    def test_counter_at_cell_size_2_covers_each_center_of_a_cell(self, case):
+    def test_bound_covers_exact_votes_per_radius(self, case):
+        # At every level of the search, a cell's count over a band bounds
+        # each of its centers' votes at each radius of the band.
         edges, r_min, r_max, box = case
         box = clip_box(edges, box)
-        votes = _ring_votes(edges, box, 2, r_max)
         exact = exact_votes(edges, r_min, r_max, box)
-        rows, cols = np.indices(exact.shape[1:]) // 2  # cells anchored at the box origin
-        for lo in range(r_min, r_max + 1, 2):
-            hi = min(lo + 1, r_max)
-            cell_votes = votes(lo, hi)
-            assert cell_votes.shape == (rows.max() + 1, cols.max() + 1)
-            for r in range(lo, hi + 1):
-                assert np.all(cell_votes[rows, cols] >= exact[r - r_min])
+        for block, width in _LEVELS:
+            votes = _ring_votes(edges, box, block, r_max)
+            rows, cols = np.indices(exact.shape[1:]) // block  # cells anchored at the box origin
+            for lo in range(r_min, r_max + 1, width):
+                hi = min(lo + width - 1, r_max)
+                cell_votes = votes(lo, hi)
+                assert cell_votes.shape == (rows.max() + 1, cols.max() + 1)
+                for r in range(lo, hi + 1):
+                    assert np.all(cell_votes[rows, cols] >= exact[r - r_min])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
+    def test_each_level_bounds_the_finer_cells_inside_it(self, case):
+        edges, r_min, r_max, box = case
+        box = clip_box(edges, box)
+        for (block, width), (fine_block, fine_width) in zip(_LEVELS, _LEVELS[1:]):
+            votes = _ring_votes(edges, box, block, r_max)
+            fine_votes = _ring_votes(edges, box, fine_block, r_max)
+            for lo in range(r_min, r_max + 1, width):
+                hi = min(lo + width - 1, r_max)
+                cell_votes = votes(lo, hi)
+                for fine_lo in range(lo, hi + 1, fine_width):
+                    fine = fine_votes(fine_lo, min(fine_lo + fine_width - 1, r_max))
+                    rows, cols = np.indices(fine.shape) * fine_block // block
+                    assert np.all(cell_votes[rows, cols] >= fine)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r_max=st.integers(1, 9), size=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           density=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_exact_grid_at_every_box_margin(self, r_max, size, density, seed, data):
+        # The FFT is padded only as far as wrap-around could reach the box's
+        # cells, which depends on how far the map reaches past the box on
+        # each side: from not at all to beyond r_max.
+        top, bottom, left, right = (data.draw(st.integers(0, r_max + 2)) for _ in range(4))
+        (bh, bw), rng = size, np.random.default_rng(seed)
+        edges = rng.random((top + bh + bottom, left + bw + right)) < density
+        box = (left, left + bw - 1, top, top + bh - 1)
+        votes = _ring_votes(edges, box, 1, r_max)
+        exact = exact_votes(edges, 1, r_max, box)
+        for r in range(1, r_max + 1):
+            np.testing.assert_array_equal(votes(r, r), exact[r - 1])
 
     def test_radius_whose_bound_equals_best_votes_is_visited(self):
         # Concentric rings of equal pixel counts tie; a few pixels one past
-        # the outer ring raise its band's bound, so it is verified first,
-        # and the inner ring, bound exactly at the tie, must still win.
+        # the outer ring raise its two-radius band's count, so it is
+        # evaluated first, and the inner ring, bounded exactly at the tie,
+        # must still win.
         inner = rasterize_circle(41, 41, 20, 20, 8)
         outer = rasterize_circle(41, 41, 20, 20, 16)
         ys, xs = np.nonzero(outer)
@@ -463,31 +483,55 @@ class TestCircularHough:
         beyond = np.argwhere(rasterize_circle(41, 41, 20, 20, 17))[-3:]
         edges = inner | outer
         edges[beyond[:, 0], beyond[:, 1]] = True
-        bounds = _radius_bounds(edges, (0, 40, 0, 40), 8, 17)
-        assert bounds[16 - 8] > bounds[0] == keep
+        band_votes = _ring_votes(edges, (0, 40, 0, 40), 1, 17)
+        assert band_votes(16, 17).max() > band_votes(8, 9).max() == keep
         circle, _ = circular_hough(EdgeMap(edges), 8, 17)
         votes, best = brute_hough(edges, 8, 17)
         assert votes == keep and best == (20, 20, 8)
         assert (circle.cx, circle.cy, circle.r) == best
 
-    def test_real_eyes_outer_pass_matches_float64_reference(self):
-        # Real edge maps are where the bound prunes radii.
+    def test_real_eyes_outer_pass_matches_float64_reference(self, monkeypatch):
+        # Real edge maps are where the search prunes: few radius bands reach
+        # the full-size (cell size 1) counter in either pass.
+        full_size = []
+        ring_votes = segmentation._ring_votes
+
+        def counting_ring_votes(e, box, block, r_max):
+            votes = ring_votes(e, box, block, r_max)
+
+            def counted(lo, hi):
+                full_size[-1] += block == 1
+                return votes(lo, hi)
+            return counted
+
+        monkeypatch.setattr(segmentation, "_ring_votes", counting_ring_votes)
         cfg = LocalizationConfig()
+        slack = cfg.pupil_center_slack
         train, test = make_benchmark(1, 2, 1, seed=5)
         for eye in train + test:
             grad = compute_gradient(gaussian_smooth(eye.image, cfg.sigma))
-            weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
-            edges = hysteresis_threshold(
-                non_max_suppression(weighted, cfg.t_low), cfg.t_high, cfg.t_low
-            ).edges
-            circle, fraction = circular_hough(EdgeMap(edges), cfg.iris_r_min, cfg.iris_r_max)
-            votes, (cx, cy, r) = fft64_hough(edges, cfg.iris_r_min, cfg.iris_r_max)
+            outer_edges, pupil_edges = (hysteresis_threshold(
+                non_max_suppression(field, cfg.t_low), cfg.t_high, cfg.t_low
+            ).edges for field in (weight_vertical_gradient(grad, cfg.horizontal_weight), grad))
+            full_size.append(0)
+            circle, fraction = circular_hough(EdgeMap(outer_edges), cfg.iris_r_min, cfg.iris_r_max)
+            votes, (cx, cy, r) = fft64_hough(outer_edges, cfg.iris_r_min, cfg.iris_r_max)
             assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
             assert fraction == min(1.0, votes / (2 * math.pi * r))
-            h, w = edges.shape
-            bounds = _radius_bounds(edges, (0, w - 1, 0, h - 1), cfg.iris_r_min, cfg.iris_r_max)
-            assert bounds[r - cfg.iris_r_min] >= votes
-            assert np.count_nonzero(bounds < votes) > bounds.size // 2
+            box = (cx - slack, cx + slack, cy - slack, cy + slack)
+            full_size.append(0)
+            circular_hough(EdgeMap(pupil_edges), cfg.pupil_r_min, cfg.pupil_r_max, box)
+        # Of 61 outer and 51 pupil radii. Bounding only at cell size 2 left
+        # 39-43 pupil radii to evaluate at full size on these eyes.
+        assert max(full_size[::2]) <= 8 and max(full_size[1::2]) <= 32
+
+    def test_radius_beyond_the_diagonal_gets_no_vote(self):
+        edges = rasterize_circle(20, 24, 9, 11, 7) | rasterize_circle(20, 24, 0, 0, 30)
+        diagonal = round(math.hypot(19, 23))
+        assert circular_hough(EdgeMap(edges), 5, 10**6) == circular_hough(
+            EdgeMap(edges), 5, diagonal)
+        with pytest.raises(LocalizationError, match="accumulator is empty"):
+            circular_hough(EdgeMap(edges), diagonal + 1, 10**6)
 
     def test_empty_edge_map_rejected(self):
         with pytest.raises(LocalizationError, match="no boundary"):
