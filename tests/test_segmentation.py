@@ -422,6 +422,21 @@ class TestCircularHough:
 
     @settings(max_examples=60, deadline=None)
     @given(case=hough_cases())
+    def test_counter_at_cell_size_2_covers_each_center_of_a_cell(self, case):
+        edges, r_min, r_max, box = case
+        box = clip_box(edges, box)
+        votes = _ring_votes(edges, box, 2, r_max)
+        exact = exact_votes(edges, r_min, r_max, box)
+        rows, cols = np.indices(exact.shape[1:]) // 2  # cells anchored at the box origin
+        for lo in range(r_min, r_max + 1, 2):
+            hi = min(lo + 1, r_max)
+            cell_votes = votes(lo, hi)
+            assert cell_votes.shape == (rows.max() + 1, cols.max() + 1)
+            for r in range(lo, hi + 1):
+                assert np.all(cell_votes[rows, cols] >= exact[r - r_min])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hough_cases())
     def test_bound_covers_exact_votes_per_radius(self, case):
         # At every level of the search, a cell's count over a band bounds
         # each of its centers' votes at each radius of the band.
