@@ -18,6 +18,7 @@ import math
 import os
 import time
 from collections.abc import Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -270,6 +271,14 @@ def _write_entry(t: IrisTemplate, entry: Path) -> None:
     os.replace(partial, entry)
 
 
+def _worker_count() -> int:
+    """One worker per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _templates_for(
     entries: list[DatasetEntry],
     index: DatasetIndex,
@@ -277,7 +286,14 @@ def _templates_for(
 ) -> tuple[list[IrisTemplate], list[int], list[DatasetEntry]]:
     """Templates (cached in cfg.cache_dir, by default <dataset root>/.template_cache)
     for the given entries; localization failures are logged and excluded.
-    Returns (templates, labels, failed_entries)."""
+    Returns (templates, labels, failed_entries).
+
+    Cache misses are computed on a thread pool with one worker per CPU
+    (segmentation spends its time in native code that releases the GIL).
+    Everything else happens here in entry order: each image is hashed and
+    its entry read, then each result is taken in turn, written to the cache
+    and logged, so an error raised for one image comes after the entries
+    before it are written, and any work not yet started is cancelled."""
     digest = cfg.template_digest()
     # The default cache under the dataset root holds this dataset alone, so a
     # same-named entry under another image hash is that of a replaced image.
@@ -288,23 +304,35 @@ def _templates_for(
     templates: list[IrisTemplate] = []
     labels: list[int] = []
     failed: list[DatasetEntry] = []
-    for entry in entries:
-        label = index.class_names[entry.class_id]
-        image_hash = hashlib.sha256(entry.path.read_bytes()).hexdigest()[:16]
-        cached = cache_dir / digest / label / image_hash / (entry.path.stem + ".irt")
-        t = _load_cached(cached)
-        if t is None:
-            try:
-                t = compute_template(entry.path, label, cfg)
-            except LocalizationError as exc:
-                logger.warning("excluding %s: %s", entry.path, exc)
-                failed.append(entry)
-                continue
-            _write_entry(t, cached)
-            if prune:
-                _drop_replaced(cached)
-        templates.append(t)
-        labels.append(entry.class_id)
+    pool = ThreadPoolExecutor(max_workers=_worker_count())
+    try:
+        # Each entry with its cache path and either its cached template or
+        # the future computing it.
+        pending: list[tuple[DatasetEntry, Path, IrisTemplate | Future]] = []
+        for entry in entries:
+            label = index.class_names[entry.class_id]
+            image_hash = hashlib.sha256(entry.path.read_bytes()).hexdigest()[:16]
+            cached = cache_dir / digest / label / image_hash / (entry.path.stem + ".irt")
+            t = _load_cached(cached)
+            if t is None:
+                # Read from the module per call, so wrappers of it see each miss.
+                t = pool.submit(compute_template, entry.path, label, cfg)
+            pending.append((entry, cached, t))
+        for entry, cached, t in pending:
+            if isinstance(t, Future):
+                try:
+                    t = t.result()
+                except LocalizationError as exc:
+                    logger.warning("excluding %s: %s", entry.path, exc)
+                    failed.append(entry)
+                    continue
+                _write_entry(t, cached)
+                if prune:
+                    _drop_replaced(cached)
+            templates.append(t)
+            labels.append(entry.class_id)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return templates, labels, failed
 
 

@@ -14,6 +14,7 @@ often.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,14 +174,15 @@ def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None,
     n = int(net.counts[m])
     if n:
         dots = net.neurons[m, :n] @ s
-        winner = int(np.argmax(dots))
+        winner = int(dots.argmax())
         if dots[winner] >= cfg.winner_threshold:
             w = net.neurons[m, winner]
+            target, rate = cfg.convergence_target, cfg.learning_rate
             for _ in range(cfg.max_update_iters):
-                if w @ s >= cfg.convergence_target:
+                if w @ s >= target:
                     break
-                w = w + cfg.learning_rate * (s - w)
-                w = w / np.linalg.norm(w)
+                w = w + rate * (s - w)
+                w = w / math.sqrt(w.dot(w))  # bit for bit np.linalg.norm(w) of 1-D float64
             net.neurons[m, winner] = w
             return winner, False
     if n == net.neurons.shape[1]:

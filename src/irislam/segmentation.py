@@ -116,19 +116,23 @@ def non_max_suppression(field: GradientField, floor: float = 0.0) -> GradientFie
         raise ValueError("field must be at least 3x3")
     mag = field.magnitude
     ys, xs = np.nonzero(mag >= floor)
+    # The per-candidate arrays are most of this stage's memory, so each is
+    # reused in place or freed once read.
     theta = field.orientation[ys, xs]
-    u = np.cos(theta)
-    v = np.sin(theta)
+    dx = np.cos(theta)
+    dy = np.sin(theta, out=theta)
+    del theta
     # Scale the direction so it lands on the unit-square boundary: one
     # component becomes exactly +-1, the other the interpolation offset.
-    s = np.maximum(np.abs(u), np.abs(v))
+    s = np.maximum(np.abs(dx), np.abs(dy))
     s[s == 0] = 1.0
-    dx = u / s
-    dy = v / s
-    fwd = ndimage.map_coordinates(mag, [ys + dy, xs + dx], order=1, mode="nearest")
-    bwd = ndimage.map_coordinates(mag, [ys - dy, xs - dx], order=1, mode="nearest")
+    dx /= s
+    dy /= s
+    del s
     m = mag[ys, xs]
-    keep = (m >= fwd) & (m >= bwd)
+    keep = m >= ndimage.map_coordinates(mag, [ys + dy, xs + dx], order=1, mode="nearest")
+    keep &= m >= ndimage.map_coordinates(mag, [ys - dy, xs - dx], order=1, mode="nearest")
+    del dx, dy
     out = np.zeros_like(mag)
     out[ys[keep], xs[keep]] = m[keep]
     return GradientField(gx=field.gx, gy=field.gy, magnitude=out, orientation=field.orientation)
@@ -142,14 +146,22 @@ def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> E
     """
     if not (0 < t_low <= t_high <= 1):
         raise ValueError(f"need 0 < t_low <= t_high <= 1, got t_low={t_low}, t_high={t_high}")
-    above_low = field.magnitude >= t_low
-    labels, _ = ndimage.label(above_low, structure=_EIGHT_CONNECTED)
-    seed_labels = np.unique(labels[field.magnitude >= t_high])
-    seed_labels = seed_labels[seed_labels > 0]
-    return EdgeMap(np.isin(labels, seed_labels))
+    labels, count = ndimage.label(field.magnitude >= t_low, structure=_EIGHT_CONNECTED)
+    seeded = np.zeros(count + 1, dtype=bool)  # per label: holds a seed
+    seeded[labels[field.magnitude >= t_high]] = True
+    seeded[0] = False  # background
+    return EdgeMap(seeded[labels])
 
 
-def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max: int):
+def _distance_table(r_max: int) -> np.ndarray:
+    """rint|(i, j)| as int32 for every offset (i, j) that the ring counter
+    of any level of _LEVELS reads at r_max (see _ring_votes)."""
+    q = np.arange(max(block * (-(-r_max // block) + 1) for block, _ in _LEVELS))
+    return np.rint(np.hypot(q[:, None], q)).astype(np.int32)
+
+
+def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max: int,
+                rounded: np.ndarray):
     """Ring correlation of mask e over block x block cells anchored at the
     origin of the inclusive (x0, x1, y0, y1) box. Returns votes(lo, hi),
     hi <= r_max: per cell C of the box, as an int64 array, the edge pixels
@@ -157,6 +169,7 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     |w_axis| < block, in [lo, hi]. An edge pixel in cell P and a center in
     cell C lie block*(P - C) + w apart, so a cell's votes bound each of its
     centers' at every radius in [lo, hi]; at block 1 they are exact.
+    rounded is _distance_table(r_max), shared by the counters of one search.
     """
     x0, x1, y0, y1 = box
     h, w = e.shape
@@ -175,10 +188,9 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     R = -(-r_max // block)
     d = block * np.abs(np.arange(-R, R + 1))
     near, far = np.maximum(d - block + 1, 0), d + block - 1
-    q = np.arange(far.max() + 1)
-    rounded = np.rint(np.hypot(q[:, None], q)).astype(np.int32)  # [i, j]: rint|(i, j)|
     nearest = rounded[near[:, None], near[None, :]]
-    farthest = rounded[far[:, None], far[None, :]]
+    # At block 1 near == far == d: the nearest corner is the farthest.
+    farthest = nearest if block == 1 else rounded[far[:, None], far[None, :]]
 
     # The read window is the box's cells w0..w1 per axis, at output index
     # R + w. Linear correlation output runs over 0..cells + 2R - 1, so a
@@ -204,8 +216,16 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     window = tuple(slice(R + w0, R + w1 + 1) for w0, w1 in zip(first, last))
 
     def votes(lo: int, hi: int) -> np.ndarray:
-        ring = ((nearest <= hi) & (farthest >= lo)).astype(np.float32)
-        conv = sp_fft.irfft2(cells_fft * sp_fft.rfft2(ring, s=padded), s=padded)
+        # At most one padded real and one complex array are alive: the ring
+        # is written into its own zero padding, the product is formed in
+        # place, and the inverse transform may overwrite it.
+        ring = np.zeros(padded, dtype=np.float32)
+        ring[: 2 * R + 1, : 2 * R + 1] = (nearest <= hi) & (farthest >= lo)
+        spec = sp_fft.rfft2(ring)
+        del ring
+        spec *= cells_fft
+        conv = sp_fft.irfft2(spec, s=padded, overwrite_x=True)
+        del spec
         return np.rint(conv[window]).astype(np.int64)
 
     return votes
@@ -265,7 +285,9 @@ def circular_hough(
     cx0, cx1 = max(bx0 - r_max, 0), min(bx1 + r_max, w - 1)
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     box = (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0)
-    counters = {block: _ring_votes(sub, box, block, r_max) for block in {b for b, _ in _LEVELS}}
+    rounded = _distance_table(r_max)
+    counters = {block: _ring_votes(sub, box, block, r_max, rounded)
+                for block in {b for b, _ in _LEVELS}}
 
     # Heap entries are (-bound, lo, level). No count exceeds the crop's edge
     # pixels, which bounds the top level's bands; a sorted list is a heap.
@@ -289,6 +311,7 @@ def circular_hough(
             idx = int(np.argmax(votes))
             best_key = (count, -lo)
             best = (lo, by0 + idx // votes.shape[1], bx0 + idx % votes.shape[1])
+        del votes  # before the next band's are made
     if best is None:
         raise LocalizationError("no boundary found: accumulator is empty")
     r, cy, cx = best
@@ -296,11 +319,15 @@ def circular_hough(
     return Circle(cx=float(cx), cy=float(cy), r=float(r)), fraction
 
 
-def _find_boundary(field: GradientField, cfg: LocalizationConfig, r_min: int, r_max: int,
-                   center_search: tuple[int, int, int, int] | None, name: str) -> Circle:
-    """Edge-map the field (NMS, then hysteresis) and return its best circle."""
+def _edge_map(field: GradientField, cfg: LocalizationConfig) -> EdgeMap:
+    """NMS, then hysteresis at the configured thresholds."""
     # Hysteresis drops every pixel below t_low, so NMS need not visit them.
-    edges = hysteresis_threshold(non_max_suppression(field, cfg.t_low), cfg.t_high, cfg.t_low)
+    return hysteresis_threshold(non_max_suppression(field, cfg.t_low), cfg.t_high, cfg.t_low)
+
+
+def _find_boundary(edges: EdgeMap, r_min: int, r_max: int,
+                   center_search: tuple[int, int, int, int] | None, name: str) -> Circle:
+    """The best circle of the edge map, or a LocalizationError naming it."""
     try:
         circle, _ = circular_hough(edges, r_min, r_max, center_search)
     except LocalizationError as exc:
@@ -320,15 +347,23 @@ def localize_iris(img: GrayImage, cfg: LocalizationConfig = LocalizationConfig()
         raise LocalizationError(
             f"image {img.width}x{img.height} too small for iris radius >= {cfg.iris_r_min}"
         )
-    smoothed = gaussian_smooth(img, cfg.sigma)
-    grad = compute_gradient(smoothed)
-
+    # Each gradient field is dropped once its edge map exists, so none lives
+    # through the Hough passes, which see only the boolean maps. The pupil
+    # edge map does not depend on the iris circle; only its Hough box does.
+    grad = compute_gradient(gaussian_smooth(img, cfg.sigma))
+    pupil_edges = _edge_map(grad, cfg)
+    # The weighting reads only gx and gy: free the rest of the field first.
+    grad.magnitude = grad.orientation = None
     weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
-    iris = _find_boundary(weighted, cfg, cfg.iris_r_min, cfg.iris_r_max, None, "iris")
+    del grad
+    iris_edges = _edge_map(weighted, cfg)
+    del weighted
+
+    iris = _find_boundary(iris_edges, cfg.iris_r_min, cfg.iris_r_max, None, "iris")
     slack = cfg.pupil_center_slack
     cx, cy = int(iris.cx), int(iris.cy)
     box = (cx - slack, cx + slack, cy - slack, cy + slack)
-    pupil = _find_boundary(grad, cfg, cfg.pupil_r_min, cfg.pupil_r_max, box, "pupil")
+    pupil = _find_boundary(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max, box, "pupil")
 
     try:
         return IrisLocalization(pupil=pupil, iris=iris)

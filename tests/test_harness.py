@@ -1,5 +1,7 @@
 import math
 import shutil
+import sys
+import threading
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -9,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irislam import harness
-from irislam.errors import ConfigError, DatasetError
+from irislam.errors import ConfigError, DatasetError, FormatError
 from irislam.harness import (
     HarnessConfig,
     compare_variants,
@@ -317,6 +319,78 @@ class TestLocalizationFailures:
                 save_blank_eye(data / entry.path.relative_to(root))
         with pytest.raises(DatasetError, match=f"class {index.class_names[0]} lost all"):
             run_train(index_dataset(data, cfg.train_per_class), cfg, tmp_path / "m.lns")
+
+
+class TestTemplatePool:
+    """Cache misses are computed on one worker per CPU of the affinity mask;
+    the templates, the cache and the log must not depend on how many."""
+
+    @staticmethod
+    def misses(small_dataset, tmp_path):
+        """Five train entries of a fresh copy of the dataset, no cache."""
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data, ignore=shutil.ignore_patterns(".template_cache"))
+        index = index_dataset(data, 3)
+        return index, index.split("train")[:5]
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    def test_pool_matches_one_worker(self, small_dataset, tmp_path, monkeypatch, caplog):
+        index, entries = self.misses(small_dataset, tmp_path)
+        for blank in (entries[1], entries[3]):
+            save_blank_eye(blank.path)
+        compute_template = harness.compute_template
+        outcomes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out ordering bugs
+        try:
+            for cpus in (1, 2, 4):
+                self.set_cpus(monkeypatch, cpus)
+                # The first `cpus` calls wait for each other: they must run at once.
+                barrier = threading.Barrier(cpus, timeout=60)
+                callers = []
+
+                def spy(path, label, cfg):
+                    callers.append(threading.get_ident())
+                    if len(callers) <= cpus:
+                        barrier.wait()
+                    return compute_template(path, label, cfg)
+
+                monkeypatch.setattr(harness, "compute_template", spy)
+                cache = tmp_path / f"cache{cpus}"
+                cfg = HarnessConfig(train_per_class=3, cache_dir=str(cache))
+                caplog.clear()
+                with caplog.at_level("WARNING"):
+                    templates, labels, failed = harness._templates_for(entries, index, cfg)
+                assert len(callers) == len(entries)
+                assert len(set(callers[:cpus])) == cpus
+                files = {p.relative_to(cache): p.read_bytes()
+                         for p in sorted(cache.rglob("*")) if p.is_file()}
+                outcomes.append(([(t.label, t.values.tobytes()) for t in templates], labels,
+                                 failed, files, [r.getMessage() for r in caplog.records]))
+        finally:
+            sys.setswitchinterval(switch)
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        templates, labels, failed, files, warnings = outcomes[0]
+        assert failed == [entries[1], entries[3]]
+        assert labels == [entries[i].class_id for i in (0, 2, 4)]
+        assert len(files) == 3
+        assert [w.split(": ")[0] for w in warnings] == [f"excluding {entries[i].path}" for i in (1, 3)]
+
+    def test_format_error_raises_after_earlier_entries_are_cached(
+            self, small_dataset, tmp_path, monkeypatch):
+        index, entries = self.misses(small_dataset, tmp_path)
+        entries[2].path.write_bytes(b"P5\n320 280\n255\n")  # no raster
+        self.set_cpus(monkeypatch, 2)
+        cache = tmp_path / "cache"
+        cfg = HarnessConfig(train_per_class=3, cache_dir=str(cache))
+        with pytest.raises(FormatError, match="raster"):
+            harness._templates_for(entries, index, cfg)
+        assert sorted(p.stem for p in cache.rglob("*.irt")) == [e.path.stem for e in entries[:2]]
+        assert not list(cache.rglob("*.partial"))
 
 
 class TestReports:
