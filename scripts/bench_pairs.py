@@ -9,7 +9,8 @@ Every record is the run's .perfbench_out/ file, unedited. The summary
 gives, per workload and end-to-end metric of BENCHMARK.json and for the
 raw host throughput `detail.host_items_per_s`, each side's quartiles over
 the seeds and the number of pairs the change won, and per workload each
-side's trace-1 correctness (null when not run).
+side's trace-1 correctness (null when not run). Each side's git revision,
+and whether its working tree was clean, are read before the first run.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seeds 921 922 ...
        [--workloads enroll train identify] [--trace1-seed 5] [--out BENCH_n.json]
@@ -21,6 +22,15 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The checkout's git revision, and whether `git status --porcelain`
+    printed nothing (no change to tracked files, no untracked file)."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, check=True,
+                              capture_output=True, text=True).stdout
+    return {"rev": git("rev-parse", "HEAD").strip(), "clean": not git("status", "--porcelain")}
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -79,7 +89,9 @@ def main():
 
     out = {"command": "python3 perfbench/run.py --workload W --seed S --trace T",
            "protocol": __doc__.split("\n\n")[1].replace("\n", " "),
-           "seeds": args.seeds, "summary": {},
+           "seeds": args.seeds,
+           "checkouts": {side: checkout_state(checkout) for side, checkout in sides.items()},
+           "summary": {},
            "trace0": {side: [] for side in sides}, "trace1": {side: [] for side in sides}}
     if args.trace1_seed is not None:
         for w in args.workloads:

@@ -264,7 +264,9 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     net._check_template(t)
     eff = net._link_scores()
     cols = subword_matrix(t.values)
-    shifts = np.arange(-shift_range, shift_range + 1)
+    # Shifts past the first num_modules repeat a rotation already scored,
+    # and argmax keeps the first, so they are not searched.
+    shifts = np.arange(-shift_range, -shift_range + min(2 * shift_range + 1, net.num_modules))
     gids = net._find_winners(cols, shifts)
     scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score

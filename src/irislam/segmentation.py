@@ -8,13 +8,19 @@ of the limbus's vertical flanks), then the pupil near the found iris center.
 
 The Hough is a best-first search over radius bands at cell sizes 4, 2 and
 1 (_LEVELS), all counted by one single-precision FFT ring correlation
-(_ring_votes). Each FFT axis is padded only as far as circular wrap-around
-could reach the cells that are read, so a crop that already reaches r_max
-beyond the center box (the pupil pass) is padded only up to the next fast
-FFT size. Every count is an integer read through rint; the float32
-round-trip error bound is about 0.05 at cell size 4 and 0.03 for two-radius
-rings at cell size 1 on an all-ones 280x320 map, far below the 0.5 margin,
-so votes, circles and tie-breaks equal those of double precision.
+(_ring_votes). The outer pass, over the whole image, stops the FFT levels
+at cell size 2 unless a band leaves many cells: each band there is
+followed by exact counts, gathered from the edge mask (_ring_gather), of
+only the centers whose cell-2 count reaches the best so far, a median 568
+center-radius pairs per eye on seed 31 in place of a median 4 full-size
+evaluations of 89,600 centers. Each FFT axis is padded only as far as
+circular wrap-around could reach the cells that are read, so a crop that
+already reaches r_max beyond the center box (the pupil pass) is padded
+only up to the next fast FFT size. Every FFT count is an integer read
+through rint; the float32 round-trip error bound is about 0.05 at cell
+size 4 and 0.03 for two-radius rings at cell size 1 on an all-ones 280x320
+map, far below the 0.5 margin, so votes, circles and tie-breaks equal
+those of double precision.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # (cell size, radii per band) of the Hough's radius-band search, coarse to
 # exact; each level's cell size and band width divide the level's above.
 _LEVELS = ((4, 4), (2, 2), (1, 2), (1, 1))
+# Cell-size-2 cells counted exactly per gather chunk (see _gather_best).
+_GATHER_CELLS = 64
 
 
 @dataclass(eq=False)
@@ -231,6 +239,32 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     return votes
 
 
+def _ring_gather(e: np.ndarray, r_max: int, rounded: np.ndarray):
+    """Exact ring votes of mask e at chosen centers, by gathering. Returns
+    votes(r, ys, xs), r <= r_max: per center (ys[k], xs[k]) of e, as an
+    int64 array, the edge pixels at rounded distance r. rounded is
+    _distance_table(r_max), shared with the search's ring counters.
+    """
+    h, w = e.shape
+    # Padding by r_max on each side keeps every ring read inside the copy.
+    stride = w + 2 * r_max
+    flat = np.zeros((h + 2 * r_max, stride), dtype=np.uint8)
+    flat[r_max : r_max + h, r_max : r_max + w] = e
+    flat = flat.ravel()
+
+    def votes(r: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        # A rounded distance is at least its larger axis, so the ring's
+        # offsets (i, j) with i >= 1, j >= 0 lie in rounded[1 : r + 1, : r + 1];
+        # its quarter turns cover each other offset exactly once.
+        i, j = np.nonzero(rounded[1 : r + 1, : r + 1] == r)
+        i += 1
+        dy, dx = np.concatenate((i, -j, -i, j)), np.concatenate((j, i, -j, -i))
+        base = (ys + r_max) * stride + xs + r_max
+        return flat[base[:, None] + (dy * stride + dx)].sum(axis=1, dtype=np.int64)
+
+    return votes
+
+
 def circular_hough(
     edges: EdgeMap,
     r_min: int,
@@ -253,10 +287,15 @@ def circular_hough(
     not yet one radius at cell size 1 splits into the next level's bands,
     each bounded by that count. Every cell grid is anchored at the box
     origin, so the cells nest and a count bounds every finer band and cell
-    inside it. Bands are popped by descending bound, then ascending lo, and
-    the search stops at the first bound below the best vote count: a band
-    whose bound equals it is still visited, so no skipped radius could have
-    won or tied. On a dense map nothing is pruned, and every radius is
+    inside it. Without a center_search box, a band at cell size 2 instead
+    has one exact child, bounded by its own most votes: the centers of its
+    cells whose count reaches the best vote count, counted exactly at each
+    of its radii by _ring_gather, most votes first (_gather_best). Only
+    where that leaves many cells, as on a dense map, do the cell-size-1
+    levels follow. Bands are popped by descending bound, then ascending lo,
+    and the search stops at the first bound below the best vote count: a
+    band whose bound equals it is still visited, so no skipped radius could
+    have won or tied. On a dense map nothing is pruned, and every radius is
     evaluated at every level.
     """
     if not 0 < r_min < r_max:
@@ -286,37 +325,101 @@ def circular_hough(
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     box = (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0)
     rounded = _distance_table(r_max)
-    counters = {block: _ring_votes(sub, box, block, r_max, rounded)
-                for block in {b for b, _ in _LEVELS}}
+    # Of the whole-image (outer) pass's cell-2 cells, those reaching the
+    # final best count hold few centers: summed over bands, gathering them
+    # read at most 0.75M mask elements per eye on the 256 eyes of
+    # make_benchmark(16, 5, 3) at seeds 31 and 32, where each full-size
+    # cell-1 evaluation counts all 89,600 centers of the box. The pupil
+    # pass's cell-2 bound is too loose for that: gathering there would read
+    # a median 0.6M, at p90 8.1M and at most 26M elements per eye, at about
+    # 4.5 ns each, where one 216x216 evaluation takes under 0.5 ms and
+    # counts all 3,721 centers of its box, so it keeps the cell-1 levels.
+    gather = _ring_gather(sub, r_max, rounded) if center_search is None else None
+    counters = {}  # cell size -> ring counter, built on first use
 
-    # Heap entries are (-bound, lo, level). No count exceeds the crop's edge
-    # pixels, which bounds the top level's bands; a sorted list is a heap.
-    # Within one radius argmax takes the smallest cy, then cx, so across
-    # radii the key (votes, -r) completes the tie-break.
+    # Heap entries are (-bound, lo, level, cells). cells, the cell-size-2
+    # votes of the band at (lo, level), marks its exact child. No count
+    # exceeds the crop's edge pixels, which bounds the top level's bands; a
+    # sorted list is a heap. best_key is (votes, -r, -cy, -cx), so the
+    # larger key wins the tie-break.
     top = int(np.count_nonzero(sub))
-    heap = [(-top, lo, 0) for lo in range(r_min, r_max + 1, _LEVELS[0][1])]
-    best_key = (0, 0)
-    best: tuple[int, int, int] | None = None  # (r, cy, cx) in image coords
+    heap = [(-top, lo, 0, None) for lo in range(r_min, r_max + 1, _LEVELS[0][1])]
+    best_key = (0, 0, 0, 0)
     while heap:
-        neg_bound, lo, level = heapq.heappop(heap)
+        neg_bound, lo, level, cells = heapq.heappop(heap)
         if -neg_bound < max(best_key[0], 1):  # a bound of 0 means no votes
             break
         block, width = _LEVELS[level]
-        votes = counters[block](lo, min(lo + width - 1, r_max))
-        count = int(votes.max())
-        if level + 1 < len(_LEVELS):
-            for child in range(lo, min(lo + width, r_max + 1), _LEVELS[level + 1][1]):
-                heapq.heappush(heap, (-count, child, level + 1))
-        elif (count, -lo) > best_key:
-            idx = int(np.argmax(votes))
-            best_key = (count, -lo)
-            best = (lo, by0 + idx // votes.shape[1], bx0 + idx % votes.shape[1])
-        del votes  # before the next band's are made
-    if best is None:
+        hi = min(lo + width - 1, r_max)
+        if cells is not None:
+            # Cells the gather leaves go to the FFT levels, bounded by their
+            # most votes.
+            best_key, count = _gather_best(gather, cells, lo, hi, box, best_key)
+            children = range(lo, hi + 1, _LEVELS[level + 1][1]) if count else ()
+        else:
+            if block not in counters:
+                counters[block] = _ring_votes(sub, box, block, r_max, rounded)
+            votes = counters[block](lo, hi)
+            count = int(votes.max())
+            if gather is not None and block == 2:
+                heapq.heappush(heap, (-count, lo, level, votes))
+                children = ()
+            elif level + 1 < len(_LEVELS):
+                children = range(lo, hi + 1, _LEVELS[level + 1][1])
+            else:
+                cy, cx = divmod(int(np.argmax(votes)), votes.shape[1])
+                best_key = max(best_key, (count, -lo, -(box[2] + cy), -(box[0] + cx)))
+                children = ()
+            del votes  # before the next band's are made
+        for child in children:
+            heapq.heappush(heap, (-count, child, level + 1, None))
+    count, neg_r, neg_cy, neg_cx = best_key
+    if count == 0:
         raise LocalizationError("no boundary found: accumulator is empty")
-    r, cy, cx = best
-    fraction = min(1.0, best_key[0] / (2.0 * math.pi * r))
-    return Circle(cx=float(cx), cy=float(cy), r=float(r)), fraction
+    r = -neg_r
+    fraction = min(1.0, count / (2.0 * math.pi * r))
+    return Circle(cx=float(cx0 - neg_cx), cy=float(cy0 - neg_cy), r=float(r)), fraction
+
+
+def _gather_best(gather, cells: np.ndarray, lo: int, hi: int,
+                 box: tuple[int, int, int, int], best_key: tuple[int, int, int, int]):
+    """(best_key, rest) after counting exactly, at radii lo..hi, the
+    centers of each cell-size-2 cell whose count in cells reaches the best
+    votes. Cells are taken _GATHER_CELLS at a time, most votes first, and
+    the rest filtered again as the best rises. If more than _GATHER_CELLS
+    then remain, they are left uncounted and rest is their most votes;
+    otherwise rest is 0. cells is used up.
+
+    A chunk of 64 cells takes about 1.6 ms to gather at two radii near 120,
+    and one full-size FFT evaluation about 2 ms, so the FFT levels count
+    many cells for less. On the 256 eyes of make_benchmark(16, 5, 3) at
+    seeds 31 and 32 every band needed one chunk. On non-eye images (noise,
+    checkerboards, blocks) gathering every such cell took 4.5-17 s per
+    image, against 0.3 s with the FFT levels.
+    """
+    x0, x1, y0, y1 = box
+    flat = cells.ravel()
+    pick = np.flatnonzero(flat >= max(best_key[0], 1))
+    while pick.size:
+        if pick.size > _GATHER_CELLS:
+            pick = pick[np.argpartition(flat[pick], -_GATHER_CELLS)[-_GATHER_CELLS:]]
+        flat[pick] = 0  # visited
+        # The up to four centers of each cell, within the box.
+        cy = (y0 + 2 * (pick // cells.shape[1]))[:, None] + (0, 0, 1, 1)
+        cx = (x0 + 2 * (pick % cells.shape[1]))[:, None] + (0, 1, 0, 1)
+        inside = (cy <= y1) & (cx <= x1)
+        cy, cx = cy[inside], cx[inside]
+        for r in range(lo, hi + 1):
+            votes = gather(r, cy, cx)
+            count = int(votes.max())
+            if (count, -r) >= best_key[:2]:
+                k = np.flatnonzero(votes == count)
+                k = k[np.lexsort((cx[k], cy[k]))[0]]
+                best_key = max(best_key, (count, -r, -int(cy[k]), -int(cx[k])))
+        pick = np.flatnonzero(flat >= max(best_key[0], 1))
+        if pick.size > _GATHER_CELLS:
+            return best_key, int(flat[pick].max())
+    return best_key, 0
 
 
 def _edge_map(field: GradientField, cfg: LocalizationConfig) -> EdgeMap:

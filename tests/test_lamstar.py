@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,22 @@ class TestClassify:
         net, templates, _ = self.trained_net()
         with pytest.raises(ValueError, match="shift_range"):
             classify(net, templates[0], shift_range=-1)
+
+    def test_huge_shift_range_searches_each_rotation_once(self):
+        net, templates, _ = self.trained_net()
+        rng = np.random.default_rng(12)
+        for t in [*templates, IrisTemplate(rng.random((4, 12)))]:
+            tracemalloc.start()
+            try:
+                pred = classify(net, t, shift_range=10**9)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            # a window of num_modules + 1 shifts covers every rotation
+            _, _, scores = reference_classify(net, t, net.num_modules // 2)
+            assert pred.scores.max() == scores.max()
+            assert -10**9 <= pred.shift < -10**9 + net.num_modules
 
     def test_score_decomposition_rewalk(self):
         net, templates, _ = self.trained_net()

@@ -1,5 +1,6 @@
 """The example scripts run end to end on a tiny dataset; the paired
-benchmark's summary is checked on synthetic records."""
+benchmark's summary is checked on synthetic records, and the checkout
+state it records on a temporary git repository."""
 
 import importlib.util
 import os
@@ -98,3 +99,26 @@ class TestBenchSummary:
         assert out["detail.host_items_per_s"] == {"parent_q1_median_q3": [11.5, 13.0, 14.5],
                                                   "change_q1_median_q3": [10.5, 12.0, 13.5],
                                                   "change_better_pairs": 1}
+
+
+def test_checkout_state_records_revision_and_clean_tree(tmp_path):
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                               *args], cwd=tmp_path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    checkout_state = load_bench_pairs().checkout_state
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "first")
+    first = git("rev-parse", "HEAD")
+    assert checkout_state(tmp_path) == {"rev": first, "clean": True}
+    (tmp_path / "a.txt").write_text("two\n")  # a tracked file changed
+    assert checkout_state(tmp_path) == {"rev": first, "clean": False}
+    git("commit", "-q", "-am", "second")
+    second = git("rev-parse", "HEAD")
+    assert second != first
+    assert checkout_state(tmp_path) == {"rev": second, "clean": True}
+    (tmp_path / "b.txt").write_text("new\n")  # an untracked file
+    assert checkout_state(tmp_path) == {"rev": second, "clean": False}

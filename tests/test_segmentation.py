@@ -25,6 +25,7 @@ from irislam.segmentation import (
     LocalizationConfig,
     _LEVELS,
     _distance_table,
+    _ring_gather,
     _ring_votes,
     circular_hough,
     hysteresis_threshold,
@@ -412,9 +413,14 @@ class TestCircularHough:
             with pytest.raises(LocalizationError, match="no boundary"):
                 circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
             return
-        circle, fraction = circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
-        assert (circle.cx, circle.cy, circle.r) == best
-        assert fraction == min(1.0, votes / (2 * math.pi * best[2]))
+        # Gather chunks of one cell hand most bands of a whole-map search to
+        # the cell-size-1 levels, which maps this small rarely do at 64.
+        for chunk in (segmentation._GATHER_CELLS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(segmentation, "_GATHER_CELLS", chunk)
+                circle, fraction = circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
+            assert (circle.cx, circle.cy, circle.r) == best
+            assert fraction == min(1.0, votes / (2 * math.pi * best[2]))
 
     @settings(max_examples=60, deadline=None)
     @given(case=hough_cases())
@@ -491,6 +497,23 @@ class TestCircularHough:
         for r in range(1, r_max + 1):
             np.testing.assert_array_equal(votes(r, r), exact[r - 1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(r_max=st.integers(1, 40), size=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           density=st.floats(0.02, 0.6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_gather_equals_the_exact_grid(self, r_max, size, density, seed, data):
+        # The two exact evaluators, one against the other: gathered counts
+        # at sampled centers of the box equal the cell-size-1 FFT grid's,
+        # with the map reaching from not at all to beyond r_max past the box.
+        top, bottom, left, right = (data.draw(st.integers(0, r_max + 2)) for _ in range(4))
+        (bh, bw), rng = size, np.random.default_rng(seed)
+        edges = rng.random((top + bh + bottom, left + bw + right)) < density
+        box = (left, left + bw - 1, top, top + bh - 1)
+        rounded = _distance_table(r_max)
+        grid, gather = _ring_votes(edges, box, 1, r_max, rounded), _ring_gather(edges, r_max, rounded)
+        ys, xs = rng.integers(0, bh, 12), rng.integers(0, bw, 12)
+        for r in range(1, r_max + 1):
+            np.testing.assert_array_equal(gather(r, top + ys, left + xs), grid(r, r)[ys, xs])
+
     def test_radius_whose_bound_equals_best_votes_is_visited(self):
         # Concentric rings of equal pixel counts tie; a few pixels one past
         # the outer ring raise its two-radius band's count, so it is
@@ -512,8 +535,9 @@ class TestCircularHough:
         assert (circle.cx, circle.cy, circle.r) == best
 
     def test_real_eyes_outer_pass_matches_float64_reference(self, monkeypatch):
-        # Real edge maps are where the search prunes: few radius bands reach
-        # the full-size (cell size 1) counter in either pass.
+        # Real edge maps are where the search prunes: the outer pass counts
+        # exactly by gathers alone, and few pupil bands reach the full-size
+        # (cell size 1) counter.
         full_size = []
         counter = segmentation._ring_votes
 
@@ -542,9 +566,9 @@ class TestCircularHough:
             box = (cx - slack, cx + slack, cy - slack, cy + slack)
             full_size.append(0)
             circular_hough(EdgeMap(pupil_edges), cfg.pupil_r_min, cfg.pupil_r_max, box)
-        # Of 61 outer and 51 pupil radii. Bounding only at cell size 2 left
-        # 39-43 pupil radii to evaluate at full size on these eyes.
-        assert max(full_size[::2]) <= 8 and max(full_size[1::2]) <= 32
+        # Of 51 pupil radii. Bounding only at cell size 2 left 39-43 pupil
+        # radii to evaluate at full size on these eyes.
+        assert max(full_size[::2]) == 0 and max(full_size[1::2]) <= 32
 
     def test_radius_beyond_the_diagonal_gets_no_vote(self):
         edges = rasterize_circle(20, 24, 9, 11, 7) | rasterize_circle(20, 24, 0, 0, 30)
