@@ -347,8 +347,8 @@ def circular_hough(
     gather = _ring_gather(sub, r_max, rounded) if center_search is None else None
     counters = {}  # cell size -> ring counter, built on first use
 
-    # Heap entries are (-bound, lo, level, cells). cells, the cell-size-2
-    # votes of the band at (lo, level), marks its exact child. No count
+    # Heap entries are (-bound, lo, level, cells). cells, the largest
+    # cell-size-2 votes of the band at (lo, level), marks its exact child. No count
     # exceeds the crop's edge pixels, which bounds the top level's bands; a
     # sorted list is a heap. best_key is (votes, -r, -cy, -cx), so the
     # larger key wins the tie-break.
@@ -372,7 +372,7 @@ def circular_hough(
             votes = counters[block](lo, hi)
             count = int(votes.max())
             if gather is not None and block == 2:
-                heapq.heappush(heap, (-count, lo, level, votes))
+                heapq.heappush(heap, (-count, lo, level, _largest_cells(votes)))
                 children = ()
             elif level + 1 < len(_LEVELS):
                 children = range(lo, hi + 1, _LEVELS[level + 1][1])
@@ -391,14 +391,33 @@ def circular_hough(
     return Circle(cx=float(cx0 - neg_cx), cy=float(cy0 - neg_cy), r=float(r)), fraction
 
 
-def _gather_best(gather, cells: np.ndarray, lo: int, hi: int,
+def _largest_cells(votes: np.ndarray):
+    """(rows, cols, counts, rest): the 2 * _GATHER_CELLS cells of votes with
+    the most votes, and the most votes of any other cell (0 if none). This
+    is all _gather_best reads of a band, and holding it instead of the
+    whole array keeps the memory of the bands waiting in the heap small."""
+    flat = votes.ravel()
+    k = 2 * _GATHER_CELLS
+    if flat.size <= k:
+        order, rest = np.arange(flat.size), 0
+    else:
+        # The (k + 1)-th largest lands at -k - 1, above every other cell.
+        order = np.argpartition(flat, -k - 1)
+        order, rest = order[-k:], int(flat[order[-k - 1]])
+    return *np.divmod(order, votes.shape[1]), flat[order], rest
+
+
+def _gather_best(gather, cells, lo: int, hi: int,
                  box: tuple[int, int, int, int], best_key: tuple[int, int, int, int]):
     """(best_key, rest) after counting exactly, at radii lo..hi, the
-    centers of each cell-size-2 cell whose count in cells reaches the best
-    votes. Cells are taken _GATHER_CELLS at a time, most votes first, and
-    the rest filtered again as the best rises. If more than _GATHER_CELLS
-    then remain, they are left uncounted and rest is their most votes;
-    otherwise rest is 0. cells is used up.
+    centers of each cell-size-2 cell whose count reaches the best votes;
+    cells is _largest_cells of the band's votes, and is used up. Cells are
+    taken _GATHER_CELLS at a time, most votes first, and the rest filtered
+    again as the best rises. If more than _GATHER_CELLS then remain, they
+    are left uncounted and rest is their most votes; otherwise rest is 0.
+    The cells kept by _largest_cells are those of the first two chunks, so
+    more remain after the first one exactly when the best cell left out
+    reaches the best votes.
 
     A chunk of 64 cells takes about 1.6 ms to gather at two radii near 120,
     and one full-size FFT evaluation about 2 ms, so the FFT levels count
@@ -408,15 +427,15 @@ def _gather_best(gather, cells: np.ndarray, lo: int, hi: int,
     image, against 0.3 s with the FFT levels.
     """
     x0, x1, y0, y1 = box
-    flat = cells.ravel()
-    pick = np.flatnonzero(flat >= max(best_key[0], 1))
+    rows, cols, counts, rest = cells
+    pick = np.flatnonzero(counts >= max(best_key[0], 1))
     while pick.size:
         if pick.size > _GATHER_CELLS:
-            pick = pick[np.argpartition(flat[pick], -_GATHER_CELLS)[-_GATHER_CELLS:]]
-        flat[pick] = 0  # visited
+            pick = pick[np.argpartition(counts[pick], -_GATHER_CELLS)[-_GATHER_CELLS:]]
+        counts[pick] = 0  # visited
         # The up to four centers of each cell, within the box.
-        cy = (y0 + 2 * (pick // cells.shape[1]))[:, None] + (0, 0, 1, 1)
-        cx = (x0 + 2 * (pick % cells.shape[1]))[:, None] + (0, 1, 0, 1)
+        cy = (y0 + 2 * rows[pick])[:, None] + (0, 0, 1, 1)
+        cx = (x0 + 2 * cols[pick])[:, None] + (0, 1, 0, 1)
         inside = (cy <= y1) & (cx <= x1)
         cy, cx = cy[inside], cx[inside]
         for r in range(lo, hi + 1):
@@ -426,9 +445,9 @@ def _gather_best(gather, cells: np.ndarray, lo: int, hi: int,
                 k = np.flatnonzero(votes == count)
                 k = k[np.lexsort((cx[k], cy[k]))[0]]
                 best_key = max(best_key, (count, -r, -int(cy[k]), -int(cx[k])))
-        pick = np.flatnonzero(flat >= max(best_key[0], 1))
-        if pick.size > _GATHER_CELLS:
-            return best_key, int(flat[pick].max())
+        if rest >= max(best_key[0], 1):
+            return best_key, int(counts.max())
+        pick = np.flatnonzero(counts >= max(best_key[0], 1))
     return best_key, 0
 
 
