@@ -348,10 +348,10 @@ def circular_hough(
     counters = {}  # cell size -> ring counter, built on first use
 
     # Heap entries are (-bound, lo, level, cells). cells, the largest
-    # cell-size-2 votes of the band at (lo, level), marks its exact child. No count
-    # exceeds the crop's edge pixels, which bounds the top level's bands; a
-    # sorted list is a heap. best_key is (votes, -r, -cy, -cx), so the
-    # larger key wins the tie-break.
+    # cell-size-2 counts of the band at (lo, level) (_largest_cells), marks
+    # its exact child. No count exceeds the crop's edge pixels, which bounds
+    # the top level's bands; a sorted list is a heap. best_key is
+    # (votes, -r, -cy, -cx), so the larger key wins the tie-break.
     top = int(np.count_nonzero(sub))
     heap = [(-top, lo, 0, None) for lo in range(r_min, r_max + 1, _LEVELS[0][1])]
     best_key = (0, 0, 0, 0)

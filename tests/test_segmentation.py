@@ -509,7 +509,8 @@ class TestCircularHough:
         edges = rng.random((top + bh + bottom, left + bw + right)) < density
         box = (left, left + bw - 1, top, top + bh - 1)
         rounded = _distance_table(r_max)
-        grid, gather = _ring_votes(edges, box, 1, r_max, rounded), _ring_gather(edges, r_max, rounded)
+        grid = _ring_votes(edges, box, 1, r_max, rounded)
+        gather = _ring_gather(edges, r_max, rounded)
         ys, xs = rng.integers(0, bh, 12), rng.integers(0, bw, 12)
         for r in range(1, r_max + 1):
             np.testing.assert_array_equal(gather(r, top + ys, left + xs), grid(r, r)[ys, xs])
