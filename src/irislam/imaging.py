@@ -41,25 +41,16 @@ class GrayImage:
 
 @dataclass(eq=False)
 class GradientField:
-    """Per-pixel derivatives, magnitude (max-normalized) and orientation.
+    """Per-pixel derivatives and their max-normalized magnitude.
 
     gx and gy are kept unscaled so the magnitude can be recomputed with a
-    direction weighting later; magnitude is scaled to a global maximum of 1
-    for any non-constant image.
+    direction weighting later, and they give the gradient direction;
+    magnitude is scaled to a global maximum of 1 for any non-constant image.
     """
 
     gx: np.ndarray
     gy: np.ndarray
     magnitude: np.ndarray
-    orientation: np.ndarray  # radians in (-pi, pi]
-
-    @property
-    def width(self) -> int:
-        return self.magnitude.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.magnitude.shape[0]
 
 
 def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -138,19 +129,19 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
 
 def _gradient_field(gx: np.ndarray, gy: np.ndarray) -> GradientField:
     """Magnitude hypot(gx, gy) scaled to a global maximum of 1 (all zeros
-    when gx and gy are), and orientation atan2(gy, gx)."""
+    when gx and gy are)."""
     magnitude = np.hypot(gx, gy)
     peak = magnitude.max()
     if peak > 0:
         magnitude = magnitude / peak
-    return GradientField(gx=gx, gy=gy, magnitude=magnitude, orientation=np.arctan2(gy, gx))
+    return GradientField(gx=gx, gy=gy, magnitude=magnitude)
 
 
 def compute_gradient(img: GrayImage) -> GradientField:
     """3x3 Sobel derivatives with edge-clamped borders.
 
     Magnitude is scaled so its global maximum is 1 (all zeros for a
-    constant image); orientation is atan2(gy, gx).
+    constant image).
     """
     if img.height < 3 or img.width < 3:
         raise ValueError(f"image must be at least 3x3, got {img.width}x{img.height}")

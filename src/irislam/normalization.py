@@ -56,11 +56,14 @@ def radial_extents(loc: IrisLocalization, thetas: np.ndarray | float) -> np.ndar
     """r'(theta): distance from the pupil center to the iris boundary along
     each ray, the positive root of the ray-circle equation (the
     localization invariants guarantee it exists). A scalar angle gives a
-    scalar."""
+    scalar. Raises ValueError if the circles are too large for float64."""
     ux, uy = np.cos(thetas), np.sin(thetas)
     ex, ey = loc.offset
     eu = ex * ux + ey * uy
-    return -eu + np.sqrt(eu * eu - (ex * ex + ey * ey) + loc.iris.r**2)
+    r = -eu + np.sqrt(eu * eu - (ex * ex + ey * ey) + loc.iris.r * loc.iris.r)
+    if not np.isfinite(r).all():
+        raise ValueError(f"iris radius {loc.iris.r:g} is too large to sample")
+    return r
 
 
 def unwrap(

@@ -67,6 +67,9 @@ class Circle:
     r: float
 
     def __post_init__(self):
+        for name in ("cx", "cy", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"circle {name} must be finite, got {getattr(self, name)}")
         if self.r <= 0:
             raise ValueError(f"radius must be positive, got {self.r}")
 
@@ -109,8 +112,9 @@ class LocalizationConfig:
     pupil_center_slack: int = 30
 
 
-def non_max_suppression(field: GradientField, floor: float = 0.0) -> GradientField:
-    """Thin edges to local maxima along the gradient direction.
+def non_max_suppression(field: GradientField, floor: float = 0.0) -> np.ndarray:
+    """Thin edges to local maxima along the gradient direction; returns
+    the thinned magnitude.
 
     Each pixel is compared against the two points where its gradient
     direction crosses the 8-neighbor ring, linearly interpolated between
@@ -120,18 +124,15 @@ def non_max_suppression(field: GradientField, floor: float = 0.0) -> GradientFie
     a floor at or below the hysteresis low threshold leaves the edge map
     unchanged.
     """
-    if field.height < 3 or field.width < 3:
-        raise ValueError("field must be at least 3x3")
     mag = field.magnitude
+    if min(mag.shape) < 3:
+        raise ValueError("field must be at least 3x3")
     ys, xs = np.nonzero(mag >= floor)
-    # The per-candidate arrays are most of this stage's memory, so each is
+    # (gx, gy) / max(|gx|, |gy|) lands on the unit-square boundary: one
+    # component is exactly +-1, the other the interpolation offset. The
+    # per-candidate arrays are most of this stage's memory, so each is
     # reused in place or freed once read.
-    theta = field.orientation[ys, xs]
-    dx = np.cos(theta)
-    dy = np.sin(theta, out=theta)
-    del theta
-    # Scale the direction so it lands on the unit-square boundary: one
-    # component becomes exactly +-1, the other the interpolation offset.
+    dx, dy = field.gx[ys, xs], field.gy[ys, xs]
     s = np.maximum(np.abs(dx), np.abs(dy))
     s[s == 0] = 1.0
     dx /= s
@@ -143,10 +144,10 @@ def non_max_suppression(field: GradientField, floor: float = 0.0) -> GradientFie
     del dx, dy
     out = np.zeros_like(mag)
     out[ys[keep], xs[keep]] = m[keep]
-    return GradientField(gx=field.gx, gy=field.gy, magnitude=out, orientation=field.orientation)
+    return out
 
 
-def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> EdgeMap:
+def hysteresis_threshold(magnitude: np.ndarray, t_high: float, t_low: float) -> EdgeMap:
     """Two-threshold edge acceptance with 8-connectivity chaining.
 
     Pixels >= t_high seed edges; any pixel >= t_low joins if it reaches a
@@ -154,9 +155,9 @@ def hysteresis_threshold(field: GradientField, t_high: float, t_low: float) -> E
     """
     if not (0 < t_low <= t_high <= 1):
         raise ValueError(f"need 0 < t_low <= t_high <= 1, got t_low={t_low}, t_high={t_high}")
-    labels, count = ndimage.label(field.magnitude >= t_low, structure=_EIGHT_CONNECTED)
+    labels, count = ndimage.label(magnitude >= t_low, structure=_EIGHT_CONNECTED)
     seeded = np.zeros(count + 1, dtype=bool)  # per label: holds a seed
-    seeded[labels[field.magnitude >= t_high]] = True
+    seeded[labels[magnitude >= t_high]] = True
     seeded[0] = False  # background
     return EdgeMap(seeded[labels])
 
@@ -484,12 +485,11 @@ def localize_iris(img: GrayImage, cfg: LocalizationConfig = LocalizationConfig()
     # edge map does not depend on the iris circle; only its Hough box does.
     grad = compute_gradient(gaussian_smooth(img, cfg.sigma))
     pupil_edges = _edge_map(grad, cfg)
-    # The weighting reads only gx and gy: free the rest of the field first.
-    grad.magnitude = grad.orientation = None
-    weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
+    # The weighting reads only gx and gy; a magnitude kept through it is one
+    # more full-size map at the peak.
+    grad.magnitude = None
+    iris_edges = _edge_map(weight_vertical_gradient(grad, cfg.horizontal_weight), cfg)
     del grad
-    iris_edges = _edge_map(weighted, cfg)
-    del weighted
 
     iris = _find_boundary(iris_edges, cfg.iris_r_min, cfg.iris_r_max, None, "iris")
     slack = cfg.pupil_center_slack

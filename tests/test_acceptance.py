@@ -19,7 +19,6 @@ from irislam.harness import (
     index_dataset,
     run_eval,
 )
-from irislam.imaging import GradientField
 from irislam.lamstar import (
     DecisionLayer,
     LamstarConfig,
@@ -125,20 +124,18 @@ class TestSegmentationGate:
                        f"(>=48), {elapsed:.1f} s (<60 s)")
 
     def test_criterion_4_hysteresis_straddling_chain(self):
-        def chain_field(break_value=None):
+        def chain_magnitude(break_value=None):
             mag = np.zeros((9, 9))
             mag[4, 0] = 0.25
             for y, x in [(4, 1), (4, 2), (3, 3), (4, 4), (5, 5), (4, 6), (4, 7)]:
                 mag[y, x] = 0.195
             if break_value is not None:
                 mag[4, 4] = break_value
-            ori = np.zeros_like(mag)
-            return GradientField(gx=mag, gy=np.zeros_like(mag),
-                                 magnitude=mag, orientation=ori)
+            return mag
 
-        whole = hysteresis_threshold(chain_field(), 0.2, 0.19)
-        ok = bool(np.array_equal(whole.edges, chain_field().magnitude >= 0.19))
-        broken = hysteresis_threshold(chain_field(break_value=0.18), 0.2, 0.19)
+        whole = hysteresis_threshold(chain_magnitude(), 0.2, 0.19)
+        ok = bool(np.array_equal(whole.edges, chain_magnitude() >= 0.19))
+        broken = hysteresis_threshold(chain_magnitude(break_value=0.18), 0.2, 0.19)
         ok &= bool(broken.edges[4, 0] and broken.edges[4, 2] and broken.edges[3, 3])
         ok &= not (broken.edges[4, 4] or broken.edges[5, 5]
                    or broken.edges[4, 6] or broken.edges[4, 7])

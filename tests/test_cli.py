@@ -116,6 +116,20 @@ class TestNormalize:
                            "--loc", "1,2,3", "--out", str(tmp_path / "t.irt"))
         assert code == 3
 
+    @pytest.mark.parametrize("loc, problem", [
+        ("150,140,40,160,140,nan", "circle r must be finite"),
+        ("150,140,40,160,140,inf", "circle r must be finite"),
+        ("nan,140,40,160,140,160", "circle cx must be finite"),
+        ("150,140,40,160,140,1e300", "too large to sample"),
+    ])
+    def test_non_finite_or_overflowing_loc_exits_3(self, capsys, synth_root, tmp_path, loc, problem):
+        out = tmp_path / "t.irt"
+        code, _, err = run(capsys, "normalize", str(first_image(synth_root)),
+                           "--loc", loc, "--out", str(out))
+        assert code == 3
+        assert problem in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestTrainEvalCompare:
     def test_full_cycle(self, capsys, synth_root, tmp_path):

@@ -72,6 +72,12 @@ class TestRadialExtent:
         loc = IrisLocalization(pupil=Circle(0, 10, 5), iris=Circle(0, 0, 100))
         assert radial_extents(loc, math.pi / 2) == pytest.approx(90.0, abs=1e-9)
 
+    def test_radius_too_large_for_float64_rejected(self):
+        # r1 squared overflows; the extent must not come back infinite.
+        loc = IrisLocalization(pupil=Circle(150, 140, 40), iris=Circle(160, 140, 1e300))
+        with pytest.raises(ValueError, match="too large to sample"):
+            radial_extents(loc, np.linspace(0, 2 * math.pi, 8))
+
     @settings(max_examples=60, deadline=None)
     @given(loc=localizations(), theta=st.floats(0, 2 * math.pi))
     def test_matches_bisection_oracle(self, loc, theta):

@@ -35,15 +35,12 @@ from irislam.segmentation import (
 from irislam.synthdata import SyntheticEyeSpec, make_benchmark, render_eye
 
 
-def field_from(magnitude, orientation):
+def field_from(magnitude, gx, gy):
+    """A GradientField of the given magnitude and derivatives; scalar
+    derivatives are broadcast to the magnitude's shape."""
     magnitude = np.asarray(magnitude, dtype=float)
-    orientation = np.asarray(orientation, dtype=float)
-    return GradientField(
-        gx=magnitude * np.cos(orientation),
-        gy=magnitude * np.sin(orientation),
-        magnitude=magnitude,
-        orientation=orientation,
-    )
+    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), magnitude.shape) for g in (gx, gy))
+    return GradientField(gx=gx, gy=gy, magnitude=magnitude)
 
 
 def ring_votes(e, box, block, r_max):
@@ -74,8 +71,7 @@ def brute_nms(field: GradientField) -> np.ndarray:
     out = np.zeros_like(mag)
     for y in range(h):
         for x in range(w):
-            u = math.cos(field.orientation[y, x])
-            v = math.sin(field.orientation[y, x])
+            u, v = field.gx[y, x], field.gy[y, x]
             s = max(abs(u), abs(v))
             if s == 0:
                 s = 1.0
@@ -91,7 +87,7 @@ def full_grid_nms(field: GradientField) -> np.ndarray:
     """The suppression rule evaluated at every pixel with whole-grid
     sampling, the vectorized form of brute_nms."""
     mag = field.magnitude
-    u, v = np.cos(field.orientation), np.sin(field.orientation)
+    u, v = field.gx, field.gy
     s = np.maximum(np.abs(u), np.abs(v))
     s[s == 0] = 1.0
     dx, dy = u / s, v / s
@@ -221,15 +217,15 @@ class TestNonMaxSuppression:
     def test_ideal_ridge_survives(self):
         mag = np.zeros((7, 7))
         mag[:, 3] = 1.0
-        field = field_from(mag, np.zeros((7, 7)))  # gradient along +x
+        field = field_from(mag, 1.0, 0.0)  # gradient along +x
         out = non_max_suppression(field)
-        np.testing.assert_array_equal(out.magnitude, mag)
+        np.testing.assert_array_equal(out, mag)
 
     def test_uniform_plateau_ties_survive(self):
         mag = np.full((6, 6), 0.4)
-        field = field_from(mag, np.full((6, 6), 0.3))
+        field = field_from(mag, math.cos(0.3), math.sin(0.3))
         out = non_max_suppression(field)
-        np.testing.assert_array_equal(out.magnitude, mag)
+        np.testing.assert_array_equal(out, mag)
 
     def test_smoothed_step_thins_to_one_pixel(self):
         pixels = np.zeros((12, 12))
@@ -237,7 +233,7 @@ class TestNonMaxSuppression:
             pixels[:, x] = 1.0 / (1.0 + math.exp(-(x - 5.3)))
         field = compute_gradient(GrayImage(pixels))
         out = non_max_suppression(field)
-        interior = out.magnitude[2:-2, 2:-2]
+        interior = out[2:-2, 2:-2]
         for row in interior:
             assert np.count_nonzero(row) == 1
 
@@ -247,16 +243,16 @@ class TestNonMaxSuppression:
         field = compute_gradient(img)
         out = non_max_suppression(field)
         expected = brute_nms(field)
-        np.testing.assert_allclose(out.magnitude, expected, atol=1e-9)
+        np.testing.assert_allclose(out, expected, atol=1e-9)
 
     def test_never_increases_magnitude(self):
         rng = np.random.default_rng(8)
         field = compute_gradient(GrayImage(rng.random((10, 10))))
         out = non_max_suppression(field)
-        assert np.all(out.magnitude <= field.magnitude + 1e-15)
+        assert np.all(out <= field.magnitude + 1e-15)
 
     def test_too_small_rejected(self):
-        field = field_from(np.zeros((2, 2)), np.zeros((2, 2)))
+        field = field_from(np.zeros((2, 2)), 1.0, 0.0)
         with pytest.raises(ValueError):
             non_max_suppression(field)
 
@@ -269,23 +265,58 @@ class TestNonMaxSuppression:
     )
     def test_floor_keeps_hysteresis_edges(self, shape, data, floor, t_high):
         mag = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
-        ori = data.draw(arrays(np.float64, shape, elements=st.floats(-math.pi, math.pi)))
-        field = field_from(mag, ori)
+        gx, gy = (data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+                  for _ in range(2))
+        field = field_from(mag, gx, gy)
         full = non_max_suppression(field)  # floor 0: every pixel compared
-        assert full.magnitude.tobytes() == full_grid_nms(field).tobytes()
+        assert full.tobytes() == full_grid_nms(field).tobytes()
         # a floor on a magnitude value tests the boundary pixel itself
         floor = data.draw(st.sampled_from([floor, *mag[mag > 0].ravel()]))
         t_high = max(t_high, floor)
         floored = non_max_suppression(field, floor)
-        np.testing.assert_array_equal(floored.magnitude, np.where(mag >= floor, full.magnitude, 0.0))
+        np.testing.assert_array_equal(floored, np.where(mag >= floor, full, 0.0))
         np.testing.assert_array_equal(
             hysteresis_threshold(floored, t_high, floor).edges,
             hysteresis_threshold(full, t_high, floor).edges,
         )
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(3, 12), st.integers(3, 12)), data=st.data())
+    def test_axis_gradient_compares_the_two_axis_neighbors(self, axis, shape, data):
+        # axis 0: gx == 0, as on the outer pass at horizontal_weight 0, so
+        # each pixel meets the pixels directly above and below it; axis 1:
+        # gy == 0, the pixels left and right. Off-image neighbors are clamped.
+        mag = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        g = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-2.0, -0.5, 0.25, 3.0])))
+        field = field_from(mag, *((0.0, g) if axis == 0 else (g, 0.0)))
+        padded = np.pad(mag, [(1, 1) if a == axis else (0, 0) for a in (0, 1)], mode="edge")
+        before, after = (np.take(padded, range(k, k + shape[axis]), axis=axis) for k in (0, 2))
+        expected = np.where((mag >= before) & (mag >= after), mag, 0.0)
+        assert non_max_suppression(field).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(3, 10), st.integers(3, 10)),
+        data=st.data(),
+        factor=st.integers(1, 2**20),
+        exponent=st.integers(-30, 30),
+    )
+    def test_gradient_scale_does_not_change_the_output(self, shape, data, factor, exponent):
+        # Integer derivatives times factor * 2**exponent are exact, so the
+        # direction, a quotient of the two, is the same float at either
+        # scale: a rule that read the gradient's length would differ.
+        mag = data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        gx, gy = (data.draw(arrays(np.float64, shape, elements=st.integers(-64, 64)))
+                  for _ in range(2))
+        scale = factor * 2.0**exponent
+        out = non_max_suppression(field_from(mag, gx, gy))
+        scaled = non_max_suppression(field_from(mag, gx * scale, gy * scale))
+        assert scaled.tobytes() == out.tobytes()
+
 
 class TestHysteresisThreshold:
-    def chain_field(self, break_value=None):
+    def chain(self, break_value=None):
         """A 0.25 seed with an 8-connected 0.195 chain leading away;
         optionally one link lowered to break the chain."""
         mag = np.zeros((9, 9))
@@ -295,22 +326,19 @@ class TestHysteresisThreshold:
             mag[y, x] = 0.195
         if break_value is not None:
             mag[4, 4] = break_value
-        return field_from(mag, np.zeros_like(mag))
+        return mag
 
     def test_all_below_low_is_empty(self):
-        field = field_from(np.full((5, 5), 0.1), np.zeros((5, 5)))
-        out = hysteresis_threshold(field, 0.2, 0.19)
+        out = hysteresis_threshold(np.full((5, 5), 0.1), 0.2, 0.19)
         assert not out.edges.any()
 
     def test_default_thresholds_mark_whole_chain(self):
-        field = self.chain_field()
-        out = hysteresis_threshold(field, 0.2, 0.19)
-        expected = field.magnitude >= 0.19
-        np.testing.assert_array_equal(out.edges, expected)
+        mag = self.chain()
+        out = hysteresis_threshold(mag, 0.2, 0.19)
+        np.testing.assert_array_equal(out.edges, mag >= 0.19)
 
     def test_chain_broken_at_weak_link(self):
-        field = self.chain_field(break_value=0.18)
-        out = hysteresis_threshold(field, 0.2, 0.19)
+        out = hysteresis_threshold(self.chain(break_value=0.18), 0.2, 0.19)
         assert out.edges[4, 0] and out.edges[4, 2] and out.edges[3, 3]
         assert not out.edges[4, 4]
         # everything past the broken link is disconnected from the seed
@@ -318,19 +346,19 @@ class TestHysteresisThreshold:
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(9)
-        field = field_from(rng.random((12, 12)), np.zeros((12, 12)))
-        base = hysteresis_threshold(field, 0.5, 0.3).edges
-        lower_low = hysteresis_threshold(field, 0.5, 0.2).edges
-        lower_high = hysteresis_threshold(field, 0.4, 0.3).edges
+        mag = rng.random((12, 12))
+        base = hysteresis_threshold(mag, 0.5, 0.3).edges
+        lower_low = hysteresis_threshold(mag, 0.5, 0.2).edges
+        lower_high = hysteresis_threshold(mag, 0.4, 0.3).edges
         assert np.all(base <= lower_low)
         assert np.all(base <= lower_high)
 
     def test_bad_ordering_rejected(self):
-        field = field_from(np.zeros((4, 4)), np.zeros((4, 4)))
+        mag = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            hysteresis_threshold(field, 0.19, 0.2)
+            hysteresis_threshold(mag, 0.19, 0.2)
         with pytest.raises(ValueError):
-            hysteresis_threshold(field, 0.2, 0.0)
+            hysteresis_threshold(mag, 0.2, 0.0)
 
 
 class TestCircularHough:
@@ -632,8 +660,12 @@ class TestLocalizeIris:
     def test_traced_peak_per_image(self):
         # Before the gradient fields were freed ahead of the Hough passes,
         # the traced peak was 11.05 MB where that change was planned and
-        # 10.36 MiB for this eye. It is now 4.00 MiB; the ceiling leaves
-        # 1 MiB (25%) for other numpy and scipy versions.
+        # 10.36 MiB for this eye. It is now 4.00 MiB: the gradient's
+        # magnitude is freed once the pupil edge map exists (kept through
+        # the weighting, the peak is 4.68 MiB), and gx, gy and the weighted
+        # field once the limbic map exists (kept through the Hough passes,
+        # 4.07 MiB). The ceiling leaves 1 MiB (25%) for other numpy and
+        # scipy versions.
         eye = make_benchmark(1, 1, 1, seed=5)[0][0]
         localize_iris(eye.image)  # first-call set-up is not per image
         tracemalloc.start()
@@ -670,6 +702,13 @@ class TestGeometryTypes:
     def test_circle_requires_positive_radius(self):
         with pytest.raises(ValueError):
             Circle(0, 0, 0)
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_circle_rejects_non_finite_values(self, field, value):
+        values = {"cx": 0.0, "cy": 0.0, "r": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"circle {field} must be finite"):
+            Circle(**values)
 
     def test_pupil_must_be_inside_iris(self):
         with pytest.raises(ValueError):
