@@ -78,7 +78,9 @@ def unwrap(
     Column j uses the ray at angle 2*pi*j/angular_res; row i samples the
     pupil-to-iris segment at fraction (i + 0.5)/radial_res, so neither
     boundary pixel itself enters the template. Intensities are read by
-    bilinear interpolation with out-of-image coordinates clamped.
+    bilinear interpolation with out-of-image coordinates clamped. Raises
+    ValueError for a pupil center outside the image or an iris radius
+    above its rounded diagonal, the largest circular_hough can return.
     """
     if radial_res < 2:
         raise ValueError(f"radial_res must be >= 2, got {radial_res}")
@@ -87,6 +89,12 @@ def unwrap(
     thetas = 2.0 * math.pi * np.arange(angular_res) / angular_res
     ux, uy = np.cos(thetas), np.sin(thetas)
     r_prime = radial_extents(loc, thetas)
+    h, w = img.pixels.shape
+    if not (0 <= loc.pupil.cx <= w - 1 and 0 <= loc.pupil.cy <= h - 1):
+        raise ValueError(f"pupil center ({loc.pupil.cx:g}, {loc.pupil.cy:g}) lies outside "
+                         f"the {w}x{h} image")
+    if loc.iris.r > round(math.hypot(w - 1, h - 1)):
+        raise ValueError(f"iris radius {loc.iris.r:g} exceeds the {w}x{h} image's diagonal")
     fractions = (np.arange(radial_res) + 0.5) / radial_res
     # radius from the pupil center along each ray, (radial, angular)
     radii = loc.pupil.r + fractions[:, None] * (r_prime - loc.pupil.r)[None, :]

@@ -8,19 +8,17 @@ of the limbus's vertical flanks), then the pupil near the found iris center.
 
 The Hough is a best-first search over radius bands at cell sizes 4, 2 and
 1 (_LEVELS), all counted by one single-precision FFT ring correlation
-(_ring_votes). The outer pass, over the whole image, stops the FFT levels
-at cell size 2 unless a band leaves many cells: each band there is
-followed by exact counts, gathered from the edge mask (_ring_gather), of
-only the centers whose cell-2 count reaches the best so far, a median 568
-center-radius pairs per eye on seed 31 in place of a median 4 full-size
-evaluations of 89,600 centers. Each FFT axis is padded only as far as
-circular wrap-around could reach the cells that are read, so a crop that
-already reaches r_max beyond the center box (the pupil pass) is padded
-only up to the next fast FFT size. Every FFT count is an integer read
-through rint; the float32 round-trip error bound is about 0.05 at cell
-size 4 and 0.03 for two-radius rings at cell size 1 on an all-ones 280x320
-map, far below the 0.5 margin, so votes, circles and tie-breaks equal
-those of double precision.
+(_ring_votes). The FFT levels stop at cell size 2 unless a band leaves
+many cells: each band there is followed by exact counts, gathered from
+the edge mask (_ring_gather), of only the centers whose cell-2 count
+reaches the best so far. Each FFT axis is padded only as far as circular
+wrap-around could reach the cells that are read, so a crop that already
+reaches r_max beyond the center box is padded only up to the next fast
+FFT size. Every FFT count is an integer read through rint; the float32
+round-trip error bound is about 0.05 at cell size 4 and 0.03 for
+two-radius rings at cell size 1 on an all-ones 280x320 map, far below the
+0.5 margin, so votes, circles and tie-breaks equal those of double
+precision.
 """
 
 from __future__ import annotations
@@ -298,16 +296,15 @@ def circular_hough(
     not yet one radius at cell size 1 splits into the next level's bands,
     each bounded by that count. Every cell grid is anchored at the box
     origin, so the cells nest and a count bounds every finer band and cell
-    inside it. Without a center_search box, a band at cell size 2 instead
-    has one exact child, bounded by its own most votes: the centers of its
-    cells whose count reaches the best vote count, counted exactly at each
-    of its radii by _ring_gather, most votes first (_gather_best). Only
-    where that leaves many cells, as on a dense map, do the cell-size-1
-    levels follow. Bands are popped by descending bound, then ascending lo,
-    and the search stops at the first bound below the best vote count: a
-    band whose bound equals it is still visited, so no skipped radius could
-    have won or tied. On a dense map nothing is pruned, and every radius is
-    evaluated at every level.
+    inside it. A band at cell size 2 instead has one exact child, bounded
+    by its own most votes: the centers of its cells whose count reaches the
+    best vote count, counted exactly at each of its radii by _ring_gather,
+    most votes first (_gather_best). Only where that leaves many cells, as
+    on a dense map, do the cell-size-1 levels follow. Bands are popped by
+    descending bound, then ascending lo, and the search stops at the first
+    bound below the best vote count: a band whose bound equals it is still
+    visited, so no skipped radius could have won or tied. On a dense map
+    nothing is pruned, and every radius is evaluated at every level.
     """
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
@@ -336,16 +333,7 @@ def circular_hough(
     sub = e[cy0 : cy1 + 1, cx0 : cx1 + 1]
     box = (bx0 - cx0, bx1 - cx0, by0 - cy0, by1 - cy0)
     rounded = _distance_table(r_max)
-    # Of the whole-image (outer) pass's cell-2 cells, those reaching the
-    # final best count hold few centers: summed over bands, gathering them
-    # read at most 0.75M mask elements per eye on the 256 eyes of
-    # make_benchmark(16, 5, 3) at seeds 31 and 32, where each full-size
-    # cell-1 evaluation counts all 89,600 centers of the box. The pupil
-    # pass's cell-2 bound is too loose for that: gathering there would read
-    # a median 0.6M, at p90 8.1M and at most 26M elements per eye, at about
-    # 4.5 ns each, where one 216x216 evaluation takes under 0.5 ms and
-    # counts all 3,721 centers of its box, so it keeps the cell-1 levels.
-    gather = _ring_gather(sub, r_max, rounded) if center_search is None else None
+    gather = _ring_gather(sub, r_max, rounded)
     counters = {}  # cell size -> ring counter, built on first use
 
     # Heap entries are (-bound, lo, level, cells). cells, the largest
@@ -372,7 +360,7 @@ def circular_hough(
                 counters[block] = _ring_votes(sub, box, block, r_max, rounded)
             votes = counters[block](lo, hi)
             count = int(votes.max())
-            if gather is not None and block == 2:
+            if block == 2:
                 heapq.heappush(heap, (-count, lo, level, _largest_cells(votes)))
                 children = ()
             elif level + 1 < len(_LEVELS):
@@ -420,12 +408,15 @@ def _gather_best(gather, cells, lo: int, hi: int,
     more remain after the first one exactly when the best cell left out
     reaches the best votes.
 
-    A chunk of 64 cells takes about 1.6 ms to gather at two radii near 120,
-    and one full-size FFT evaluation about 2 ms, so the FFT levels count
-    many cells for less. On the 256 eyes of make_benchmark(16, 5, 3) at
-    seeds 31 and 32 every band needed one chunk. On non-eye images (noise,
-    checkerboards, blocks) gathering every such cell took 4.5-17 s per
-    image, against 0.3 s with the FFT levels.
+    A chunk of 64 cells takes about 1.5 ms to gather at two radii near 120,
+    against about 3 ms for one cell-size-1 FFT evaluation of a 280x320 map,
+    and about 0.5 ms at two radii near 50, as does one evaluation of a
+    211x211 crop, so the FFT levels count many cells for less. On the 256
+    eyes of make_benchmark(16, 5, 3) at seeds 31 and 32, all 688 bands of
+    the whole-image pass needed one chunk; of the 3,203 bands of the pupil
+    pass, 2,873 needed one and 330 two, and 444 went on to the FFT levels.
+    On non-eye images (noise, checkerboards, blocks) gathering every such
+    cell took 4.5-17 s per image, against 0.3 s with the FFT levels.
     """
     x0, x1, y0, y1 = box
     rows, cols, counts, rest = cells

@@ -121,6 +121,8 @@ class TestNormalize:
         ("150,140,40,160,140,inf", "circle r must be finite"),
         ("nan,140,40,160,140,160", "circle cx must be finite"),
         ("150,140,40,160,140,1e300", "too large to sample"),
+        ("1e300,140,40,1e300,140,160", "pupil center (1e+300, 140) lies outside"),
+        ("150,140,40,160,140,1e150", "iris radius 1e+150 exceeds"),
     ])
     def test_non_finite_or_overflowing_loc_exits_3(self, capsys, synth_root, tmp_path, loc, problem):
         out = tmp_path / "t.irt"

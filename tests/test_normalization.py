@@ -160,6 +160,26 @@ class TestUnwrap:
         shifted = rotate_template(t_base, k)
         assert np.abs(t_rot.values - shifted.values).max() <= 0.05
 
+    @pytest.mark.parametrize("pupil, iris, problem", [
+        (Circle(1e300, 60, 10), Circle(1e300, 60, 40), "pupil center"),
+        (Circle(-0.5, 60, 10), Circle(20, 60, 40), "pupil center"),
+        (Circle(60, 121, 10), Circle(60, 100, 40), "pupil center"),
+        (Circle(60, 60, 10), Circle(60, 60, 1e150), "diagonal"),
+        (Circle(60, 60, 10), Circle(60, 60, 170.5), "diagonal"),
+    ])
+    def test_circles_beyond_the_image_rejected(self, pupil, iris, problem):
+        # Clamped sampling would fill the template with border pixels.
+        img = GrayImage(np.full((121, 121), 0.5))
+        with pytest.raises(ValueError, match=problem):
+            unwrap(img, IrisLocalization(pupil=pupil, iris=iris))
+
+    def test_circles_reaching_the_image_limits_accepted(self):
+        # round(hypot(120, 120)) = 170, the largest radius circular_hough
+        # can return on this image, with the pupil center on its corner.
+        img = GrayImage(np.full((121, 121), 0.5))
+        loc = IrisLocalization(pupil=Circle(120, 120, 10), iris=Circle(60, 60, 170))
+        assert unwrap(img, loc, 10, 64).values.shape == (10, 64)
+
     def test_resolution_preconditions(self):
         loc = IrisLocalization(pupil=Circle(60, 60, 10), iris=Circle(60, 60, 40))
         img = render_fraction_annulus(121, 121, loc)

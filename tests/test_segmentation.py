@@ -97,10 +97,13 @@ def full_grid_nms(field: GradientField) -> np.ndarray:
     return np.where((mag >= fwd) & (mag >= bwd), mag, 0.0)
 
 
-def fft64_hough(edges: np.ndarray, r_min, r_max):
-    """Double-precision FFT accumulators over all in-image centers; same
-    votes and tie-breaks as brute_hough, fast enough for full-size maps."""
+def fft64_hough(edges: np.ndarray, r_min, r_max, center_box=None):
+    """Double-precision FFT accumulators over all in-image centers, read
+    only inside center_box if given; same votes and tie-breaks as
+    brute_hough, fast enough for full-size maps."""
     h, w = edges.shape
+    x0, x1, y0, y1 = (0, w - 1, 0, h - 1) if center_box is None else center_box
+    x0, x1, y0, y1 = max(x0, 0), min(x1, w - 1), max(y0, 0), min(y1, h - 1)
     padded = (sp_fft.next_fast_len(h + r_max), sp_fft.next_fast_len(w + r_max))
     e_fft = sp_fft.rfft2(edges.astype(np.float64), s=padded)
     d = np.arange(-r_max, r_max + 1, dtype=np.float64)
@@ -108,11 +111,12 @@ def fft64_hough(edges: np.ndarray, r_min, r_max):
     best = (0, None)
     for r in range(r_min, r_max + 1):
         k_fft = sp_fft.rfft2((ring == r).astype(np.float64), s=padded)
-        conv = sp_fft.irfft2(e_fft * k_fft, s=padded)[r_max : r_max + h, r_max : r_max + w]
+        conv = sp_fft.irfft2(e_fft * k_fft, s=padded)[r_max + y0 : r_max + y1 + 1,
+                                                       r_max + x0 : r_max + x1 + 1]
         votes = np.rint(conv).astype(np.int64)
         if votes.max() > best[0]:
             cy, cx = np.unravel_index(np.argmax(votes), votes.shape)
-            best = (int(votes.max()), (int(cx), int(cy), r))
+            best = (int(votes.max()), (x0 + int(cx), y0 + int(cy), r))
     return best
 
 
@@ -382,14 +386,18 @@ class TestCircularHough:
     @pytest.mark.parametrize("kind", ["all_ones", "half_random"])
     def test_full_size_maps_match_float64_reference(self, kind):
         # Dense 280x320 maps carry the largest single-precision FFT error.
+        # On them every cell reaches the best votes, so each band leaves
+        # more cells than one gather chunk and goes on to the cell-size-1
+        # levels, over the whole map and in a pupil-sized box.
         if kind == "all_ones":
             edges = np.ones((280, 320), dtype=bool)
         else:
             edges = np.random.default_rng(17).random((280, 320)) < 0.5
-        circle, fraction = circular_hough(EdgeMap(edges), 90, 150)
-        votes, (cx, cy, r) = fft64_hough(edges, 90, 150)
-        assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
-        assert fraction == min(1.0, votes / (2 * math.pi * r))
+        for r_min, r_max, box in ((90, 150, None), (25, 75, (129, 189, 109, 169))):
+            circle, fraction = circular_hough(EdgeMap(edges), r_min, r_max, box)
+            votes, (cx, cy, r) = fft64_hough(edges, r_min, r_max, box)
+            assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+            assert fraction == min(1.0, votes / (2 * math.pi * r))
 
     def test_occluded_arc_recovered(self):
         # 25% of the circle removed; center and radius still found
@@ -441,8 +449,9 @@ class TestCircularHough:
             with pytest.raises(LocalizationError, match="no boundary"):
                 circular_hough(EdgeMap(edges), r_min, r_max, center_search=box)
             return
-        # Gather chunks of one cell hand most bands of a whole-map search to
-        # the cell-size-1 levels, which maps this small rarely do at 64.
+        # Gather chunks of one cell hand most bands, of a whole-map search
+        # and of a box search alike, to the cell-size-1 levels, which maps
+        # this small rarely do at 64.
         for chunk in (segmentation._GATHER_CELLS, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(segmentation, "_GATHER_CELLS", chunk)
@@ -563,10 +572,10 @@ class TestCircularHough:
         assert votes == keep and best == (20, 20, 8)
         assert (circle.cx, circle.cy, circle.r) == best
 
-    def test_real_eyes_outer_pass_matches_float64_reference(self, monkeypatch):
+    def test_real_eyes_both_passes_match_float64_reference(self, monkeypatch):
         # Real edge maps are where the search prunes: the outer pass counts
-        # exactly by gathers alone, and few pupil bands reach the full-size
-        # (cell size 1) counter.
+        # exactly by gathers alone, and few pupil bands leave more cells
+        # than one gather chunk for the full-size (cell size 1) counter.
         full_size = []
         counter = segmentation._ring_votes
 
@@ -594,10 +603,13 @@ class TestCircularHough:
             assert fraction == min(1.0, votes / (2 * math.pi * r))
             box = (cx - slack, cx + slack, cy - slack, cy + slack)
             full_size.append(0)
-            circular_hough(EdgeMap(pupil_edges), cfg.pupil_r_min, cfg.pupil_r_max, box)
-        # Of 51 pupil radii. Bounding only at cell size 2 left 39-43 pupil
-        # radii to evaluate at full size on these eyes.
-        assert max(full_size[::2]) == 0 and max(full_size[1::2]) <= 32
+            circle, fraction = circular_hough(EdgeMap(pupil_edges), cfg.pupil_r_min,
+                                              cfg.pupil_r_max, box)
+            votes, (cx, cy, r) = fft64_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max, box)
+            assert (circle.cx, circle.cy, circle.r) == (cx, cy, r)
+            assert fraction == min(1.0, votes / (2 * math.pi * r))
+        # Of 51 pupil radii, 9, 0 and 19 reach full size on these eyes.
+        assert max(full_size[::2]) == 0 and max(full_size[1::2]) <= 19
 
     def test_radius_beyond_the_diagonal_gets_no_vote(self):
         edges = rasterize_circle(20, 24, 9, 11, 7) | rasterize_circle(20, 24, 0, 0, 30)
