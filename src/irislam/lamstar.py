@@ -15,6 +15,7 @@ often.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,17 +215,19 @@ def train(
     cfg = net.config
     start = time.perf_counter()
 
-    columns = [subword_matrix(t.values) for t in templates]
-
     # SOM phase: sequential over templates, dynamic creation per module.
-    for cols in columns:
+    # Subwords are made one template at a time, here and for the winners
+    # below: holding every template's would cost 8 * dim * modules bytes
+    # per template for the whole call.
+    for t in templates:
+        cols = subword_matrix(t.values)
         for m in range(net.num_modules):
             som_present(net, m, cols[m])
 
     net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
-    winners = [net._find_winners(cols, [0])[0] for cols in columns]
+    winners = [net._find_winners(subword_matrix(t.values), [0])[0] for t in templates]
 
     dec = net.decision
     epoch_errors: list[int] = []
@@ -278,6 +281,13 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
 _RECORD = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
                     ("weight", "<f8"), ("rewards", "<u8")])
 
+# The writer builds, and the reader checks and then scatters, at most this
+# many decision records at a time. One slice's temporaries (the records and
+# their int64 indices and gathered fields) take well under 1 MiB, whatever
+# the model's size, while the train benchmark's models (about 130,000
+# records each) still take only 16 slices per pass.
+_SLICE_RECORDS = 8192
+
 
 def save_model(net: LamstarNetwork, path: str | Path) -> None:
     """Write an LNS1 model file.
@@ -287,33 +297,68 @@ def save_model(net: LamstarNetwork, path: str | Path) -> None:
     sparse decision records (uint32 module, uint32 neuron, uint32 class,
     float64 weight, uint64 reward count) in key order for every link with
     a nonzero weight or reward count; then a uint64 record-count trailer.
+
+    The file is written as `<name>.partial` beside path and renamed over
+    path once complete, so a failed write leaves any previous model as it
+    was and no partial file behind.
     """
     if net.decision is None:
         raise ValueError("cannot save an untrained network")
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "wb") as f:
+            _write_model(net, f)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write_model(net: LamstarNetwork, f) -> None:
+    """Stream the LNS1 sections to f in file order, building the decision
+    records one slice of decision-layer rows at a time."""
     cfg = net.config
-    parts = [
-        f"LNS1 {net.num_modules} {net.subword_dim} {net.num_classes} "
-        f"{1 if cfg.normalized else 0} {cfg.delta!r} {cfg.winner_threshold!r}\n".encode("ascii")
-    ]
-    for n, block in zip(net.counts, net.neurons):
-        parts.append(np.array(n, dtype="<u4").tobytes())
-        parts.append(block[:n].astype("<f8").tobytes())
+    f.write(f"LNS1 {net.num_modules} {net.subword_dim} {net.num_classes} "
+            f"{1 if cfg.normalized else 0} {cfg.delta!r} {cfg.winner_threshold!r}\n".encode("ascii"))
+    for n, block in zip(net.counts.tolist(), net.neurons):
+        f.write(n.to_bytes(4, "little"))
+        f.write(np.ascontiguousarray(block[:n], dtype="<f8"))
     dec = net.decision
-    gids, classes = np.nonzero((dec.weights != 0) | (dec.reward_counts != 0))
-    module = np.searchsorted(dec.offsets, gids, side="right") - 1
-    records = np.zeros(len(gids), dtype=_RECORD)
-    records["module"] = module
-    records["neuron"] = gids - dec.offsets[module]
-    records["cls"] = classes
-    records["weight"] = dec.weights[gids, classes]
-    records["rewards"] = dec.reward_counts[gids, classes]
-    parts.append(records.tobytes())
-    parts.append(np.array(len(records), dtype="<u8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    rows = max(1, _SLICE_RECORDS // net.num_classes)
+    written = 0
+    for first in range(0, len(dec.weights), rows):
+        weights = dec.weights[first : first + rows]
+        rewards = dec.reward_counts[first : first + rows]
+        row, classes = np.nonzero((weights != 0) | (rewards != 0))
+        gids = first + row
+        module = np.searchsorted(dec.offsets, gids, side="right") - 1
+        records = np.empty(len(row), dtype=_RECORD)
+        records["module"] = module
+        records["neuron"] = gids - dec.offsets[module]
+        records["cls"] = classes
+        records["weight"] = weights[row, classes]
+        records["rewards"] = rewards[row, classes]
+        f.write(records)
+        written += len(records)
+    f.write(written.to_bytes(8, "little"))
+
+
+def _record_slices(data: bytes, offset: int, n_records: int):
+    """The n_records decision records at offset in data, as read-only views
+    of at most _SLICE_RECORDS records each."""
+    for first in range(0, n_records, _SLICE_RECORDS):
+        yield np.frombuffer(data, dtype=_RECORD, count=min(_SLICE_RECORDS, n_records - first),
+                            offset=offset + first * _RECORD.itemsize)
 
 
 def load_model(path: str | Path) -> LamstarNetwork:
-    """Read an LNS1 model file back into an inference-ready network."""
+    """Read an LNS1 model file back into an inference-ready network.
+
+    Every check runs before the network is built; the decision records
+    are checked, then scattered, one slice at a time straight from the
+    file's bytes.
+    """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
@@ -335,6 +380,7 @@ def load_model(path: str | Path) -> LamstarNetwork:
         raise FormatError(f"LNS1 file truncated: too short for {num_modules} modules")
     counts = np.zeros(num_modules, dtype=np.int64)
     blocks = []
+    view = memoryview(data)
     pos = nl + 1
     for m in range(num_modules):
         if pos + 4 > len(data):
@@ -343,7 +389,7 @@ def load_model(path: str | Path) -> LamstarNetwork:
         end = pos + 4 + n * subword_dim * 8
         if end > len(data):
             raise FormatError("LNS1 file truncated in the neuron blocks")
-        blocks.append(data[pos + 4 : end])
+        blocks.append(view[pos + 4 : end])
         pos = end
     weights = np.frombuffer(b"".join(blocks), dtype="<f8").reshape(-1, subword_dim)
     if not np.isfinite(weights).all():
@@ -355,28 +401,30 @@ def load_model(path: str | Path) -> LamstarNetwork:
     trailer = int(np.frombuffer(data, dtype="<u8", count=1, offset=len(data) - 8)[0])
     if trailer != n_records:
         raise FormatError(f"LNS1 trailer says {trailer} records, found {n_records}")
-    records = np.frombuffer(data, dtype=_RECORD, count=n_records, offset=pos)
-    module = records["module"].astype(np.int64)
-    neuron = records["neuron"].astype(np.int64)
-    classes = records["cls"].astype(np.int64)
     # A module index past the last module reads a neuron count of 0.
-    neuron_limit = np.append(counts, 0)[np.minimum(module, num_modules)]
-    if np.any((neuron >= neuron_limit) | (classes >= num_classes)
-              | (records["rewards"] > np.iinfo(np.int64).max)):
-        raise FormatError("LNS1 decision record out of range")
+    neuron_limit = np.append(counts, 0)
+    classes_named = 0
+    for records in _record_slices(data, pos, n_records):
+        classes = records["cls"]
+        if np.any((records["neuron"] >= neuron_limit.take(records["module"], mode="clip"))
+                  | (classes >= num_classes)
+                  | (records["rewards"] > np.iinfo(np.int64).max)):
+            raise FormatError("LNS1 decision record out of range")
+        if not np.isfinite(records["weight"]).all():
+            raise FormatError("LNS1 link weight is not finite")
+        classes_named = max(classes_named, int(classes.max()) + 1)
     # Every trained link touches all classes, so records name each class;
     # this bounds the dense decision layer before it is allocated.
-    if n_records and classes.max() + 1 < num_classes:
-        raise FormatError(f"LNS1 header names {num_classes} classes, records only {classes.max() + 1}")
-    if not np.isfinite(records["weight"]).all():
-        raise FormatError("LNS1 link weight is not finite")
+    if n_records and classes_named < num_classes:
+        raise FormatError(f"LNS1 header names {num_classes} classes, records only {classes_named}")
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
     net.counts = counts
     net.neurons = np.zeros((num_modules, max(1, counts.max()), subword_dim))
     net._freeze()
     net.neurons[net._valid] = weights  # row-major order is the file's module order
     dec = net.decision
-    gids = dec.offsets[module] + neuron
-    dec.weights[gids, classes] = records["weight"]
-    dec.reward_counts[gids, classes] = records["rewards"]
+    for records in _record_slices(data, pos, n_records):
+        gids = dec.offsets[records["module"]] + records["neuron"]
+        dec.weights[gids, records["cls"]] = records["weight"]
+        dec.reward_counts[gids, records["cls"]] = records["rewards"]
     return net

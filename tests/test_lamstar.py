@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from irislam import lamstar
 from irislam.errors import FormatError
 from irislam.lamstar import (
     DecisionLayer,
@@ -32,6 +34,11 @@ CLASSIFY_SHA256 = {
     False: "a443d12186f56bc7a2806745f6db96cf6fdea862593849f9293e5d78c753d721",
     True: "70f4b28bd441703c4077f89d05fad1360d22fdf33ec7c50b05fb68b97303452b",
 }
+
+# sha256 of TestModelFile.sliced_model_bytes, recorded with the writer that
+# built every decision record at once, before records were written and
+# read in slices.
+SLICED_LNS1_SHA256 = "054d35b4cb940d9e8316dfff1d9eb05d58ecc94def09a97be724a03d54ab6a5c"
 
 
 def unit(x) -> np.ndarray:
@@ -243,6 +250,61 @@ def toy_templates():
     return [t0, t1], [0, 1]
 
 
+def traced_peak(fn):
+    """fn()'s result, and the traced peak in bytes above what was allocated
+    when fn was called."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def built_network(seed: int, num_modules: int, dim: int, num_classes: int,
+                  max_neurons: int, density: float) -> LamstarNetwork:
+    """A frozen network made without training: 0 to max_neurons random unit
+    neurons per module, and random weights and reward counts on a
+    `density` share of the decision layer's entries."""
+    rng = np.random.default_rng(seed)
+    net = LamstarNetwork(num_modules, dim, num_classes)
+    net.counts = rng.integers(0, max_neurons + 1, num_modules)
+    net.neurons = rng.standard_normal((num_modules, max(1, net.counts.max()), dim))
+    net.neurons /= np.linalg.norm(net.neurons, axis=2, keepdims=True)
+    net.neurons[np.arange(net.neurons.shape[1]) >= net.counts[:, None]] = 0.0
+    net._freeze()
+    dec = net.decision
+    linked = rng.random(dec.weights.shape) < density
+    dec.weights[linked] = rng.standard_normal(np.count_nonzero(linked))
+    dec.reward_counts[linked] = rng.integers(0, 4, np.count_nonzero(linked))
+    return net
+
+
+def whole_layer_model_bytes(net: LamstarNetwork) -> bytes:
+    """Reference LNS1 bytes of a frozen network, each section built whole
+    as save_model documents the layout: header, per module its uint32
+    count and float64 neurons, every link with a nonzero weight or reward
+    count in key order, then the uint64 record count."""
+    cfg = net.config
+    parts = [f"LNS1 {net.num_modules} {net.subword_dim} {net.num_classes} "
+             f"{1 if cfg.normalized else 0} {cfg.delta!r} {cfg.winner_threshold!r}\n".encode("ascii")]
+    for n, block in zip(net.counts, net.neurons):
+        parts.append(np.array(n, dtype="<u4").tobytes() + block[:n].astype("<f8").tobytes())
+    dec = net.decision
+    gids, classes = np.nonzero((dec.weights != 0) | (dec.reward_counts != 0))
+    module = np.searchsorted(dec.offsets, gids, side="right") - 1
+    records = np.zeros(len(gids), dtype=[("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
+                                         ("weight", "<f8"), ("rewards", "<u8")])
+    records["module"] = module
+    records["neuron"] = gids - dec.offsets[module]
+    records["cls"] = classes
+    records["weight"] = dec.weights[gids, classes]
+    records["rewards"] = dec.reward_counts[gids, classes]
+    parts.append(records.tobytes() + np.array(len(records), dtype="<u8").tobytes())
+    return b"".join(parts)
+
+
 class TestTrain:
     def test_toy_hand_simulated(self):
         # SOM phase: each module grows 2 neurons (orthogonal subwords).
@@ -329,6 +391,21 @@ class TestTrain:
             scores.append(np.array([x.scores for x in p]))
         assert preds[0] == preds[1]
         np.testing.assert_allclose(scores[1], scores[0] * (0.35 / 0.05), atol=1e-9)
+
+    def test_memory_does_not_grow_with_the_templates(self):
+        # Presenting 16 full-size templates 4 times grows the same neurons
+        # and links as presenting them once; only the winners (480 ids per
+        # template) may add to the peak. Holding every template's subwords
+        # at once would add 48 x 76.8 kB, 3.7 MB.
+        rng = np.random.default_rng(8)
+        templates = [IrisTemplate(rng.random((20, 480))) for _ in range(16)]
+        labels = [i % 4 for i in range(16)]
+        peaks = []
+        for repeats in (1, 4):
+            net = LamstarNetwork(480, 20, 4)
+            _, peak = traced_peak(lambda: train(net, templates * repeats, labels * repeats))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**20
 
 
 class TestClassify:
@@ -676,3 +753,106 @@ class TestModelFile:
         p.write_bytes(b" ".join(fields) + data[nl:])
         with pytest.raises(FormatError):
             load_model(p)
+
+    def test_untrained_network_creates_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="untrained"):
+            save_model(LamstarNetwork(2, 2, 2), tmp_path / "m.lns")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["disk_full", "interrupt"])
+    def test_failed_save_keeps_the_previous_model(self, tmp_path, monkeypatch, error):
+        old = self.toy_model_bytes(tmp_path)  # now at tmp_path / "m.lns"
+
+        class FailsAfterHeader:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes > 1:
+                    raise error
+                return self.f.write(b)
+
+        monkeypatch.setattr("irislam.lamstar.open", lambda *a, **k: FailsAfterHeader(open(*a, **k)),
+                            raising=False)
+        templates, labels = toy_templates()
+        net = LamstarNetwork(2, 2, 2, LamstarConfig(normalized=True))  # other bytes than old
+        train(net, templates, labels)
+        with pytest.raises(type(error)):
+            save_model(net, tmp_path / "m.lns")
+        assert (tmp_path / "m.lns").read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.lns"]
+
+    def sliced_model_bytes(self, tmp_path) -> bytes:
+        """A trained model saved at tmp_path / "sliced.lns": 1627 neurons
+        linked to all 16 classes, so its 26,032 records fill three slices
+        and part of a fourth, in the writer (rows) and the reader alike."""
+        rng = np.random.default_rng(2020)
+        templates = [IrisTemplate(rng.standard_normal((4, 60))) for _ in range(30)]
+        net = LamstarNetwork(60, 4, 16)
+        train(net, templates, [i % 16 for i in range(30)])
+        save_model(net, tmp_path / "sliced.lns")
+        data = (tmp_path / "sliced.lns").read_bytes()
+        rows, records = int(net.counts.sum()), int.from_bytes(data[-8:], "little")
+        rows_per_slice = lamstar._SLICE_RECORDS // 16
+        assert records > 3 * lamstar._SLICE_RECORDS and records % lamstar._SLICE_RECORDS
+        assert rows > 3 * rows_per_slice and rows % rows_per_slice
+        return data
+
+    def test_bytes_across_slice_boundaries(self, tmp_path):
+        data = self.sliced_model_bytes(tmp_path)
+        assert hashlib.sha256(data).hexdigest() == SLICED_LNS1_SHA256
+        save_model(load_model(tmp_path / "sliced.lns"), tmp_path / "again.lns")
+        assert (tmp_path / "again.lns").read_bytes() == data
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.4])
+    def test_sparse_layer_matches_the_whole_layer_writer(self, tmp_path, density):
+        # 10 classes: each writer slice is 819 rows, not a whole number of
+        # modules, and some modules have no neurons
+        net = built_network(21, num_modules=30, dim=3, num_classes=10, max_neurons=200,
+                            density=density)
+        save_model(net, tmp_path / "m.lns")
+        assert (tmp_path / "m.lns").read_bytes() == whole_layer_model_bytes(net)
+
+    @pytest.mark.parametrize("field, offset, value", [
+        ("cls", 8, (16).to_bytes(4, "little")), ("weight", 12, np.float64(np.nan).tobytes()),
+    ])
+    def test_corrupt_record_in_the_last_slice_rejected(self, tmp_path, monkeypatch, field, offset, value):
+        def no_network(*args, **kwargs):
+            raise AssertionError("LamstarNetwork built for a file that must be rejected")
+
+        data = bytearray(self.sliced_model_bytes(tmp_path))
+        last = len(data) - 8 - 28
+        data[last + offset : last + offset + len(value)] = value
+        (tmp_path / "bad.lns").write_bytes(bytes(data))
+        monkeypatch.setattr("irislam.lamstar.LamstarNetwork", no_network)
+        with pytest.raises(FormatError, match={"cls": "out of range", "weight": "not finite"}[field]):
+            load_model(tmp_path / "bad.lns")
+
+    def big_network(self) -> LamstarNetwork:
+        """A network whose model file is about 5 MB, over 20 record slices."""
+        return built_network(31, num_modules=40, dim=4, num_classes=64, max_neurons=150, density=1.0)
+
+    def test_save_holds_one_slice_of_records(self, tmp_path):
+        net = self.big_network()
+        _, peak = traced_peak(lambda: save_model(net, tmp_path / "big.lns"))
+        size = (tmp_path / "big.lns").stat().st_size
+        assert size > 8 * lamstar._SLICE_RECORDS * 28
+        assert peak < size / 4
+
+    def test_load_holds_the_file_the_network_and_one_slice(self, tmp_path):
+        save_model(self.big_network(), tmp_path / "big.lns")
+        back, peak = traced_peak(lambda: load_model(tmp_path / "big.lns"))
+        dec = back.decision
+        network = sum(a.nbytes for a in (back.neurons, back.counts, back._valid, dec.offsets,
+                                         dec.weights, dec.reward_counts))
+        # 1 MiB of slack: the neuron blocks (192 kB at most here) copied into
+        # one buffer, and one slice's temporaries
+        assert peak <= (tmp_path / "big.lns").stat().st_size + network + 2**20
