@@ -283,8 +283,8 @@ _RECORD = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),
 
 # The writer builds, and the reader checks and then scatters, at most this
 # many decision records at a time. One slice's temporaries (the records and
-# their int64 indices and gathered fields) take well under 1 MiB, whatever
-# the model's size, while the train benchmark's models (about 130,000
+# their int64 indices and gathered fields) take under 1 MiB, whatever
+# the model's size, while the train benchmark's models (about 125,000
 # records each) still take only 16 slices per pass.
 _SLICE_RECORDS = 8192
 
