@@ -357,7 +357,8 @@ def load_model(path: str | Path) -> LamstarNetwork:
 
     Every check runs before the network is built; the decision records
     are checked, then scattered, one slice at a time straight from the
-    file's bytes.
+    file's bytes. A file whose records do not name every class, one with
+    no record included, is refused: training cannot write one.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -413,9 +414,13 @@ def load_model(path: str | Path) -> LamstarNetwork:
         if not np.isfinite(records["weight"]).all():
             raise FormatError("LNS1 link weight is not finite")
         classes_named = max(classes_named, int(classes.max()) + 1)
-    # Every trained link touches all classes, so records name each class;
-    # this bounds the dense decision layer before it is allocated.
-    if n_records and classes_named < num_classes:
+    # Training's first decision epoch moves every class's link of each
+    # neuron that wins for a template, so records name each class. Without
+    # a record, a file of a few bytes could ask for a decision layer of
+    # neurons x classes and, holding no neuron, a store of modules x dim.
+    # A record names a neuron, whose dim weights are in the file, and the
+    # records name every class, so the file's length bounds dim and classes.
+    if classes_named < num_classes:
         raise FormatError(f"LNS1 header names {num_classes} classes, records only {classes_named}")
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)
     net.counts = counts

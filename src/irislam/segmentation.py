@@ -14,17 +14,20 @@ the edge mask (_ring_gather), of only the centers whose cell-2 count
 reaches the best so far. Each FFT axis is padded only as far as circular
 wrap-around could reach the cells that are read, so a crop that already
 reaches r_max beyond the center box is padded only up to the next fast
-FFT size. Every FFT count is an integer read through rint; the float32
-round-trip error bound is about 0.05 at cell size 4 and 0.03 for
-two-radius rings at cell size 1 on an all-ones 280x320 map, far below the
-0.5 margin, so votes, circles and tie-breaks equal those of double
-precision.
+FFT size. A ring's spectrum depends on no image, so each is made once and
+kept, as a real quarter-spectrum, in a cache shared by all calls and
+threads and capped in bytes (_RingSpectra). Every FFT count is an integer
+read through rint; the float32 round-trip error bound is about 0.05 at
+cell size 4 and 0.03 for two-radius rings at cell size 1 on an all-ones
+280x320 map, far below the 0.5 margin, so votes, circles and tie-breaks
+equal those of double precision.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +49,34 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _LEVELS = ((4, 4), (2, 2), (1, 2), (1, 1))
 # Cell-size-2 cells counted exactly per gather chunk (see _gather_best).
 _GATHER_CELLS = 64
+# Bytes of ring spectra kept between Hough calls (see _RingSpectra).
+_RING_SPECTRA_CAP = 2 * 2**20
+
+
+class _RingSpectra:
+    """Ring spectra shared by every Hough call and thread, stored first come,
+    first served until they fill cap bytes; once full, a spectrum is made
+    and not kept. A spectrum depends only on its key, so one made twice by
+    two threads is the same either way."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self._spectra: dict[tuple, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, make) -> np.ndarray:
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = make()
+            with self._lock:
+                if key not in self._spectra and self.nbytes + spectrum.nbytes <= self.cap:
+                    self._spectra[key] = spectrum
+                    self.nbytes += spectrum.nbytes
+        return spectrum
+
+
+_RING_SPECTRA = _RingSpectra(_RING_SPECTRA_CAP)
 
 
 @dataclass(eq=False)
@@ -181,6 +212,7 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     cell C lie block*(P - C) + w apart, so a cell's votes bound each of its
     centers' at every radius in [lo, hi]; at block 1 they are exact.
     rounded is _distance_table(r_max), shared by the counters of one search.
+    Each ring's spectrum is read from _RING_SPECTRA, made on a miss.
     """
     x0, x1, y0, y1 = box
     h, w = e.shape
@@ -209,13 +241,14 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     # At block 1 near == far == d: the nearest corner is the farthest.
     farthest = nearest if block == 1 else rounded[far][:, far]
 
-    # The read window is the box's cells w0..w1 per axis, at output index
-    # R + w. Linear correlation output runs over 0..cells + 2R - 1, so a
-    # circular one of size n >= cells + R - w0 wraps nothing onto the window
-    # from above, n >= w1 + R + 1 nothing from below, and n >= 2R + 1 keeps
-    # the whole kernel. A crop that reaches R cells beyond the box (the pupil
-    # pass) thus needs no padding past its own size; cells beyond n that a
-    # short transform cuts off lie more than R cells past the window.
+    # The ring sits with its center on the origin, negative offsets wrapped,
+    # and the read window is the box's cells w0..w1 per axis. Linear
+    # correlation output runs over -R..cells + R - 1, so a circular one of
+    # size n >= cells + R - w0 wraps nothing onto the window from above,
+    # n >= w1 + R + 1 nothing from below, and n >= 2R + 1 keeps the ring's
+    # offsets -R..R apart. A crop that reaches R cells beyond the box (the
+    # pupil pass) thus needs no padding past its own size; cells beyond n
+    # that a short transform cuts off lie more than R cells past the window.
     # The transforms run in single precision. Each vote is an integer count
     # read through rint, and the round-trip error is bounded by
     # |err| <~ eps32 * log2(N) * ||cells||_2 * ||ring||_2 (N the padded size).
@@ -230,17 +263,27 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     padded = tuple(sp_fft.next_fast_len(max(n + R - w0, w1 + R + 1, 2 * R + 1))
                    for n, w0, w1 in zip((ch, cw), first, last))
     cells_fft = sp_fft.rfft2(cells, s=padded)
-    window = tuple(slice(R + w0, R + w1 + 1) for w0, w1 in zip(first, last))
+    del cells
+    window = tuple(slice(w0, w1 + 1) for w0, w1 in zip(first, last))
+    n0 = padded[0]
+    m = n0 // 2 + 1  # rows of the stored quarter; the rest mirror them
+
+    def ring_spectrum(lo: int, hi: int) -> np.ndarray:
+        # Membership depends only on |D| per axis, so the origin-centered
+        # ring is even in each axis and its spectrum real and even: the
+        # quarter of rows 0..n0 // 2 and columns 0..n1 // 2 is all of it.
+        ring = np.zeros(padded, dtype=np.float32)
+        offsets = np.arange(-R, R + 1)
+        ring[np.ix_(offsets % n0, offsets % padded[1])] = (nearest <= hi) & (farthest >= lo)
+        return np.ascontiguousarray(sp_fft.rfft2(ring)[:m].real)
 
     def votes(lo: int, hi: int) -> np.ndarray:
-        # At most one padded real and one complex array are alive: the ring
-        # is written into its own zero padding, the product is formed in
-        # place, and the inverse transform may overwrite it.
-        ring = np.zeros(padded, dtype=np.float32)
-        ring[: 2 * R + 1, : 2 * R + 1] = (nearest <= hi) & (farthest >= lo)
-        spec = sp_fft.rfft2(ring)
-        del ring
-        spec *= cells_fft
+        # Rings reach no further than hi, so within the padded shape a ring
+        # depends on its cell size and band alone.
+        half = _RING_SPECTRA.get((padded, block, lo, hi), lambda: ring_spectrum(lo, hi))
+        spec = np.empty_like(cells_fft)
+        np.multiply(cells_fft[:m], half, out=spec[:m])
+        np.multiply(cells_fft[m:], half[n0 - m : 0 : -1], out=spec[m:])
         conv = sp_fft.irfft2(spec, s=padded, overwrite_x=True)
         del spec
         return np.rint(conv[window]).astype(np.int64)
@@ -408,12 +451,14 @@ def _gather_best(gather, cells, lo: int, hi: int,
     more remain after the first one exactly when the best cell left out
     reaches the best votes.
 
-    A chunk of 64 cells takes about 1.5 ms to gather at two radii near 120,
-    against about 3 ms for one cell-size-1 FFT evaluation of a 280x320 map,
-    and about 0.5 ms at two radii near 50, as does one evaluation of a
-    211x211 crop, so the FFT levels count many cells for less. On the 256
-    eyes of make_benchmark(16, 5, 3) at seeds 31 and 32, all 688 bands of
-    the whole-image pass needed one chunk; of the 3,203 bands of the pupil
+    A chunk of 64 cells takes 1.0-1.4 times as long to gather at two radii
+    near 120 as one cell-size-1 FFT evaluation of a 280x320 map whose ring
+    spectrum is cached (1.3-1.8 ms on one core; about twice that when the
+    evaluation makes its spectrum), and at two radii near 50, 1.8-2.5 times
+    as long as one such evaluation of a 211x211 crop (0.2-0.4 ms), so the
+    FFT levels count many cells for less. On the 256 eyes of
+    make_benchmark(16, 5, 3) at seeds 31 and 32, all 688 bands of the
+    whole-image pass needed one chunk; of the 3,203 bands of the pupil
     pass, 2,873 needed one and 330 two, and 444 went on to the FFT levels.
     On non-eye images (noise, checkerboards, blocks) gathering every such
     cell took 4.5-17 s per image, against 0.3 s with the FFT levels.

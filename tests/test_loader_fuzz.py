@@ -96,3 +96,34 @@ def test_corrupt_file_loads_or_raises_format_error(files, name):
         loads_or_format_error(load, files / f"bad-{name}", bad)
 
     check()
+
+
+def lns1(header: str, counts_and_neurons: bytes, records: int = 0) -> bytes:
+    """LNS1 bytes with the given header fields, module blocks and no
+    decision records (the trailer says `records`)."""
+    return f"LNS1 {header}\n".encode() + counts_and_neurons + records.to_bytes(8, "little")
+
+
+@pytest.mark.parametrize("data", [
+    # 46 bytes: one module with no neurons, each neuron 10^11 float64s
+    lns1("1 100000000000 1 0 0.05 0.95", bytes(4)),
+    # one neuron, no records, 10^12 classes
+    lns1("1 1 1000000000000 0 0.05 0.95", (1).to_bytes(4, "little") + np.float64(1.0).tobytes()),
+], ids=["no_neurons_huge_dim", "no_records_huge_class_count"])
+def test_allocations_not_bounded_by_the_file_rejected(tmp_path, monkeypatch, data):
+    def no_network(*args, **kwargs):
+        raise AssertionError("LamstarNetwork built for a file that must be rejected")
+
+    monkeypatch.setattr("irislam.lamstar.LamstarNetwork", no_network)
+    (tmp_path / "m.lns").write_bytes(data)
+    with pytest.raises(FormatError, match="records only 0"):
+        load_model(tmp_path / "m.lns")
+
+
+def test_trained_model_without_its_records_rejected(files, tmp_path):
+    data = (files / "m.lns").read_bytes()
+    records = int.from_bytes(data[-8:], "little")
+    assert records  # training linked every class of the toy network
+    (tmp_path / "m.lns").write_bytes(data[: -8 - 28 * records] + bytes(8))
+    with pytest.raises(FormatError, match="records only 0"):
+        load_model(tmp_path / "m.lns")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,14 @@ from irislam.segmentation import (
     non_max_suppression,
 )
 from irislam.synthdata import SyntheticEyeSpec, make_benchmark, render_eye
+
+
+@pytest.fixture(autouse=True)
+def empty_ring_spectra(monkeypatch):
+    """Each test starts from an empty ring-spectrum cache of the module's
+    cap, so it reads the spectra it stores, whatever ran before it."""
+    monkeypatch.setattr(segmentation, "_RING_SPECTRA",
+                        segmentation._RingSpectra(segmentation._RING_SPECTRA_CAP))
 
 
 def field_from(magnitude, gx, gy):
@@ -173,6 +183,19 @@ def rasterize_circle(h, w, cx, cy, r, arc=(0.0, 2 * math.pi)):
     in_arc = (theta >= lo) & (theta < hi)
     edges[on & in_arc] = True
     return edges
+
+
+def hough_passes(image: GrayImage, cfg: LocalizationConfig = LocalizationConfig()):
+    """(iris, iris fraction, pupil, pupil fraction) of localize_iris's two
+    Hough passes on the image."""
+    grad = compute_gradient(gaussian_smooth(image, cfg.sigma))
+    pupil_edges = segmentation._edge_map(grad, cfg)
+    iris_edges = segmentation._edge_map(weight_vertical_gradient(grad, cfg.horizontal_weight), cfg)
+    iris, iris_fraction = circular_hough(iris_edges, cfg.iris_r_min, cfg.iris_r_max)
+    s, cx, cy = cfg.pupil_center_slack, int(iris.cx), int(iris.cy)
+    pupil, pupil_fraction = circular_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max,
+                                           (cx - s, cx + s, cy - s, cy + s))
+    return iris, iris_fraction, pupil, pupil_fraction
 
 
 @st.composite
@@ -629,6 +652,111 @@ class TestCircularHough:
             circular_hough(EdgeMap(edges), 20, 10)
 
 
+class TestRingSpectra:
+    def test_cap_holds_and_votes_stay_exact_once_full(self, monkeypatch):
+        requested = {}  # key -> bytes of every spectrum asked for
+
+        class Recording(segmentation._RingSpectra):
+            def get(self, key, make):
+                spectrum = super().get(key, make)
+                requested[key] = spectrum.nbytes
+                assert self.nbytes <= self.cap
+                return spectrum
+
+        cache = Recording(segmentation._RING_SPECTRA_CAP)
+        monkeypatch.setattr(segmentation, "_RING_SPECTRA", cache)
+        rng = np.random.default_rng(23)
+        # Dense maps: every band is evaluated at every level, so each map
+        # asks for spectra of several padded shapes at each cell size.
+        for (h, w), r_min, r_max, box in (((120, 150), 10, 60, None),
+                                          ((170, 140), 30, 90, None),
+                                          ((210, 230), 20, 70, (80, 140, 70, 130)),
+                                          ((90, 260), 5, 45, (100, 160, 20, 70))):
+            circular_hough(EdgeMap(rng.random((h, w)) < 0.3), r_min, r_max, box)
+            assert cache.nbytes <= cache.cap
+        assert sum(requested.values()) > 2 * cache.cap
+        # Once full, small maps' spectra still fit or are made and dropped;
+        # either way the votes are the exact ones.
+        stored_before, dropped = set(cache._spectra), 0
+        for seed in range(6):
+            edges = np.random.default_rng(seed).random((20 + seed, 26)) < 0.1
+            box = (4, 20, 3, 15)
+            votes = ring_votes(edges, box, 1, 9)
+            exact = exact_votes(edges, 2, 9, box)
+            for r in range(2, 10):
+                np.testing.assert_array_equal(votes(r, r), exact[r - 2])
+            count, best = brute_hough(edges, 2, 9)
+            circle, fraction = circular_hough(EdgeMap(edges), 2, 9)
+            assert (circle.cx, circle.cy, circle.r) == best
+            assert fraction == min(1.0, count / (2 * math.pi * best[2]))
+            assert cache.nbytes <= cache.cap
+            dropped += sum(key not in cache._spectra for key in requested)
+        assert stored_before <= set(cache._spectra) and dropped
+
+    @staticmethod
+    def run_threads(work, count):
+        """Start count threads of work(index) together, with a short switch
+        interval, wait for all of them and re-raise the first error."""
+        start = threading.Barrier(count)
+        errors = []
+
+        def run(index):
+            try:
+                start.wait(timeout=60)
+                work(index)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+
+    def test_threads_match_a_sequential_run(self, monkeypatch):
+        # Four eyes of one shape, one per thread (more threads than this
+        # project's 2-core hosts have cores), all asking for the same
+        # spectra from an empty cache.
+        train, test = make_benchmark(2, 1, 1, seed=9)
+        images = [eye.image for eye in train + test]
+        monkeypatch.setattr(segmentation, "_RING_SPECTRA", segmentation._RingSpectra(0))
+        expected = [(hough_passes(image), localize_iris(image)) for image in images]
+        cache = segmentation._RingSpectra(segmentation._RING_SPECTRA_CAP)
+        monkeypatch.setattr(segmentation, "_RING_SPECTRA", cache)
+        found = [None] * len(images)
+
+        def work(i):
+            found[i] = (hough_passes(images[i]), localize_iris(images[i]))
+
+        self.run_threads(work, len(images))
+        assert found == expected
+        assert 0 < cache.nbytes == sum(a.nbytes for a in cache._spectra.values())
+
+    def test_byte_count_under_contention(self):
+        # Eight threads, in two orders, ask for 2,000 keys of arrays of 8 to
+        # 56 bytes, more than the cap holds. A lost update of the byte
+        # count, or one key stored twice, would show as a count that is not
+        # the sum of what is stored.
+        cache = segmentation._RingSpectra(40_000)
+
+        def work(index):
+            for key in np.random.default_rng(index % 2).permutation(2000):
+                got = cache.get(key, lambda: np.full(key % 7 + 1, key, dtype=np.float64))
+                assert got.size == key % 7 + 1 and (got == key).all()
+
+        self.run_threads(work, 8)
+        stored = sum(a.nbytes for a in cache._spectra.values())
+        assert cache.nbytes == stored and cache.cap - 56 < stored <= cache.cap
+
+
 class TestLocalizeIris:
     def test_synthetic_eye_recovered(self):
         spec = SyntheticEyeSpec(
@@ -686,6 +814,24 @@ class TestLocalizeIris:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_traced_peak_from_a_cold_cache(self, monkeypatch):
+        # The ring spectra kept between calls are made during the Hough
+        # passes, below the edge stages' peak; they stay under the 5 MiB
+        # that test_keeps_no_memory_between_calls allows a call to keep.
+        assert segmentation._RING_SPECTRA_CAP < 5 * 2**20
+        eye = make_benchmark(1, 1, 1, seed=5)[0][0]
+        localize_iris(eye.image)  # first-call set-up is not per image
+        cache = segmentation._RingSpectra(segmentation._RING_SPECTRA_CAP)
+        monkeypatch.setattr(segmentation, "_RING_SPECTRA", cache)
+        tracemalloc.start()
+        try:
+            localize_iris(eye.image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.nbytes > 0
         assert peak < 5 * 2**20
 
     def test_blank_image_fails(self):
