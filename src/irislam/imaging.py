@@ -133,7 +133,7 @@ def _gradient_field(gx: np.ndarray, gy: np.ndarray) -> GradientField:
     magnitude = np.hypot(gx, gy)
     peak = magnitude.max()
     if peak > 0:
-        magnitude = magnitude / peak
+        magnitude /= peak
     return GradientField(gx=gx, gy=gy, magnitude=magnitude)
 
 

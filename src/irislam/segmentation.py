@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import mmap
 import threading
 from dataclasses import dataclass, field
 
@@ -54,25 +55,36 @@ _RING_SPECTRA_CAP = 2 * 2**20
 
 
 class _RingSpectra:
-    """Ring spectra shared by every Hough call and thread, stored first come,
-    first served until they fill cap bytes; once full, a spectrum is made
-    and not kept. A spectrum depends only on its key, so one made twice by
-    two threads is the same either way."""
+    """Ring spectra shared by every Hough call and thread, copied first come,
+    first served into one anonymous memory map of cap bytes; once a
+    spectrum would pass the cap, it is made and not kept. The map, made on
+    the first store, takes resident memory only as it fills, and it leaves
+    no long-lived arrays among the freed temporaries of the threads that
+    fill it. It is outside the heap that tracemalloc traces. A spectrum
+    depends only on its key, so one made twice by two threads is the same
+    either way."""
 
     def __init__(self, cap: int):
         self.cap = cap
         self.nbytes = 0
         self._spectra: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
+        self._buffer: np.ndarray | None = None
 
     def get(self, key: tuple, make) -> np.ndarray:
         spectrum = self._spectra.get(key)
         if spectrum is None:
             spectrum = make()
             with self._lock:
-                if key not in self._spectra and self.nbytes + spectrum.nbytes <= self.cap:
-                    self._spectra[key] = spectrum
-                    self.nbytes += spectrum.nbytes
+                end = self.nbytes + spectrum.nbytes
+                if key not in self._spectra and end <= self.cap:
+                    if self._buffer is None:
+                        self._buffer = np.frombuffer(mmap.mmap(-1, self.cap), dtype=np.uint8)
+                    kept = self._buffer[self.nbytes : end].view(spectrum.dtype)
+                    kept = kept.reshape(spectrum.shape)
+                    kept[...] = spectrum
+                    self._spectra[key] = kept
+                    self.nbytes = end
         return spectrum
 
 
@@ -524,8 +536,10 @@ def localize_iris(img: GrayImage, cfg: LocalizationConfig = LocalizationConfig()
     # The weighting reads only gx and gy; a magnitude kept through it is one
     # more full-size map at the peak.
     grad.magnitude = None
-    iris_edges = _edge_map(weight_vertical_gradient(grad, cfg.horizontal_weight), cfg)
-    del grad
+    weighted = weight_vertical_gradient(grad, cfg.horizontal_weight)
+    del grad  # the weighted field has its own gx and shares gy
+    iris_edges = _edge_map(weighted, cfg)
+    del weighted
 
     iris = _find_boundary(iris_edges, cfg.iris_r_min, cfg.iris_r_max, None, "iris")
     slack = cfg.pupil_center_slack
