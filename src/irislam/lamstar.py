@@ -357,8 +357,10 @@ def load_model(path: str | Path) -> LamstarNetwork:
 
     Every check runs before the network is built; the decision records
     are checked, then scattered, one slice at a time straight from the
-    file's bytes. A file whose records do not name every class, one with
-    no record included, is refused: training cannot write one.
+    file's bytes. A file whose records do not name every class is refused,
+    one with no record included. Training writes no record only when no
+    neuron ever wins (a winner threshold that no subword reaches), and that
+    model would score every class 0.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -415,11 +417,12 @@ def load_model(path: str | Path) -> LamstarNetwork:
             raise FormatError("LNS1 link weight is not finite")
         classes_named = max(classes_named, int(classes.max()) + 1)
     # Training's first decision epoch moves every class's link of each
-    # neuron that wins for a template, so records name each class. Without
-    # a record, a file of a few bytes could ask for a decision layer of
-    # neurons x classes and, holding no neuron, a store of modules x dim.
-    # A record names a neuron, whose dim weights are in the file, and the
-    # records name every class, so the file's length bounds dim and classes.
+    # neuron that wins for a template, so once any neuron wins, records
+    # name each class. Without a record, a file of a few bytes could ask
+    # for a decision layer of neurons x classes and, holding no neuron, a
+    # store of modules x dim. A record names a neuron, whose dim weights
+    # are in the file, and the records name every class, so the file's
+    # length bounds dim and classes.
     if classes_named < num_classes:
         raise FormatError(f"LNS1 header names {num_classes} classes, records only {classes_named}")
     net = LamstarNetwork(num_modules, subword_dim, num_classes, cfg)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from irislam.errors import FormatError
 from irislam.imaging import GrayImage, load_gray_image, save_gray_image
-from irislam.lamstar import LamstarNetwork, load_model, save_model, train
+from irislam.lamstar import LamstarConfig, LamstarNetwork, load_model, save_model, train
 from irislam.normalization import IrisTemplate, load_template, save_template
 
 TOKENS = st.one_of(
@@ -125,5 +125,18 @@ def test_trained_model_without_its_records_rejected(files, tmp_path):
     records = int.from_bytes(data[-8:], "little")
     assert records  # training linked every class of the toy network
     (tmp_path / "m.lns").write_bytes(data[: -8 - 28 * records] + bytes(8))
+    with pytest.raises(FormatError, match="records only 0"):
+        load_model(tmp_path / "m.lns")
+
+
+def test_model_in_which_no_neuron_won_rejected(tmp_path):
+    # A winner threshold above every dot product of unit vectors: training
+    # grows neurons but links none, and the model would score every class 0.
+    t0 = IrisTemplate(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    t1 = IrisTemplate(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    net = LamstarNetwork(2, 2, 2, LamstarConfig(winner_threshold=2.0))
+    train(net, [t0, t1], [0, 1])
+    assert net.counts.tolist() == [2, 2] and not net.decision.reward_counts.any()
+    save_model(net, tmp_path / "m.lns")
     with pytest.raises(FormatError, match="records only 0"):
         load_model(tmp_path / "m.lns")
