@@ -26,6 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from irislam.errors import ConfigError, DatasetError, FormatError, LocalizationError
+from irislam.files import replacing
 from irislam.imaging import load_gray_image
 from irislam.lamstar import (
     LamstarConfig,
@@ -174,7 +175,7 @@ class EvalReport:
     accuracy: float  # NaN when the test set is empty
     per_class_accuracy: np.ndarray
     confusion: np.ndarray  # (num_classes, num_classes) counts, rows = truth
-    train_seconds: float
+    train_seconds: float  # 0.0 unless the caller trained the model
     test_seconds: float
     config_echo: dict[str, str]
     num_test: int = 0
@@ -258,17 +259,15 @@ def _drop_replaced(entry: Path) -> None:
 
 
 def _write_entry(t: IrisTemplate, entry: Path) -> None:
-    """Write beside the entry, then rename over it, so a crash never leaves
-    a partial entry; the temp name does not end in .irt."""
-    partial = entry.with_name(entry.name + ".partial")
+    """Write the entry, making its directory; save_template replaces it only
+    once complete, so a crash never leaves a partial entry."""
     while True:
         entry.parent.mkdir(parents=True, exist_ok=True)
         try:
-            save_template(t, partial)
-            break
+            save_template(t, entry)
+            return
         except FileNotFoundError:
             pass  # a concurrent run's _drop_replaced removed the directory just made
-    os.replace(partial, entry)
 
 
 def _worker_count() -> int:
@@ -360,7 +359,6 @@ def run_eval(
     model_path: str | Path,
     index: DatasetIndex,
     cfg: HarnessConfig,
-    train_seconds: float = 0.0,
 ) -> EvalReport:
     """Classify every test entry and assemble the evaluation report."""
     net = load_model(model_path)
@@ -400,7 +398,7 @@ def run_eval(
         accuracy=accuracy,
         per_class_accuracy=per_class,
         confusion=confusion,
-        train_seconds=train_seconds,
+        train_seconds=0.0,
         test_seconds=test_seconds,
         config_echo={k: v for k, v in model_cfg.echo().items()
                      if k not in _UNRECORDED_TRAINING_KEYS},
@@ -455,8 +453,10 @@ def write_report(report: EvalReport, class_names: list[str], prefix: str | Path)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     txt = prefix.with_suffix(".txt")
     kv = prefix.with_suffix(".kv")
-    txt.write_text(format_report_text(report, class_names))
-    kv.write_text(format_report_kv(report, class_names))
+    with replacing(txt) as partial:
+        partial.write_text(format_report_text(report, class_names))
+    with replacing(kv) as partial:
+        partial.write_text(format_report_kv(report, class_names))
     return txt, kv
 
 
@@ -485,9 +485,9 @@ def compare_variants(
         variant_cfg = replace(cfg, lamstar=replace(cfg.lamstar, normalized=normalized))
         model_path = out_dir / f"{name}.lns"
         model_path, log = run_train(index, variant_cfg, model_path)
-        report = run_eval(model_path, index, variant_cfg, train_seconds=log.train_seconds)
+        report = run_eval(model_path, index, variant_cfg)
         # the model was trained here, so every setting of variant_cfg is its own
-        report = replace(report, config_echo=variant_cfg.echo())
+        report = replace(report, train_seconds=log.train_seconds, config_echo=variant_cfg.echo())
         write_report(report, index.class_names, out_dir / f"{name}_report")
         results.append(VariantResult(name, model_path, log, report))
     return results

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from irislam.errors import FormatError
+from irislam.files import replacing
 
 
 @dataclass(eq=False)
@@ -108,10 +109,12 @@ def load_gray_image(path: str | Path) -> GrayImage:
 
 
 def save_gray_image(img: GrayImage, path: str | Path) -> None:
-    """Write a GrayImage as binary PGM (P5, maxval 255)."""
+    """Write a GrayImage as binary PGM (P5, maxval 255), replacing path only
+    once the file is complete."""
     raster = np.rint(img.pixels * 255.0).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raster.tobytes())
+    with replacing(path) as partial:
+        partial.write_bytes(header + raster.tobytes())
 
 
 def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:

@@ -15,7 +15,6 @@ often.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from irislam.errors import FormatError
+from irislam.files import replacing
 from irislam.normalization import IrisTemplate
 
 _ZERO_NORM_EPS = 1e-12
@@ -298,21 +298,13 @@ def save_model(net: LamstarNetwork, path: str | Path) -> None:
     float64 weight, uint64 reward count) in key order for every link with
     a nonzero weight or reward count; then a uint64 record-count trailer.
 
-    The file is written as `<name>.partial` beside path and renamed over
-    path once complete, so a failed write leaves any previous model as it
-    was and no partial file behind.
+    path is replaced only once the file is complete, so a failed write
+    leaves any previous model as it was and no partial file behind.
     """
     if net.decision is None:
         raise ValueError("cannot save an untrained network")
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    try:
-        with open(partial, "wb") as f:
-            _write_model(net, f)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing(path) as partial, open(partial, "wb") as f:
+        _write_model(net, f)
 
 
 def _write_model(net: LamstarNetwork, f) -> None:

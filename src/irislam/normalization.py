@@ -22,6 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from irislam.errors import FormatError
+from irislam.files import replacing
 from irislam.imaging import GrayImage
 from irislam.segmentation import IrisLocalization
 
@@ -110,13 +111,15 @@ def rotate_template(t: IrisTemplate, shift: int) -> IrisTemplate:
 
 
 def save_template(t: IrisTemplate, path: str | Path) -> None:
-    """Write an IRT1 file: ASCII header then row-major little-endian f64."""
+    """Write an IRT1 file: ASCII header then row-major little-endian f64.
+    path is replaced only once the file is complete."""
     label = t.label if t.label is not None else "-"
     if any(c.isspace() for c in label):
         raise ValueError(f"label must not contain whitespace: {label!r}")
     header = f"IRT1 {t.radial_res} {t.angular_res} {label}\n".encode("ascii")
     body = t.values.astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    with replacing(path) as partial:
+        partial.write_bytes(header + body)
 
 
 def load_template(path: str | Path) -> IrisTemplate:

@@ -233,7 +233,7 @@ class TestRunTrain:
 class TestRunEval:
     def test_report_shape_and_consistency(self, trained):
         root, index, cfg, model_path, log = trained
-        report = run_eval(model_path, index, cfg, train_seconds=log.train_seconds)
+        report = run_eval(model_path, index, cfg)
         assert report.confusion.shape == (3, 3)
         row_sums = report.confusion.sum(axis=1)
         assert report.num_test == int(report.confusion.sum())
@@ -396,7 +396,7 @@ class TestTemplatePool:
 class TestReports:
     def test_write_both_forms(self, trained, tmp_path):
         root, index, cfg, model_path, log = trained
-        report = run_eval(model_path, index, cfg, train_seconds=log.train_seconds)
+        report = run_eval(model_path, index, cfg)
         txt, kv = write_report(report, index.class_names, tmp_path / "report")
         assert "accuracy:" in txt.read_text()
         assert "train time:" in txt.read_text()

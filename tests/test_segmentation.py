@@ -801,12 +801,13 @@ class TestLocalizeIris:
     def test_traced_peak_per_image(self):
         # Before the gradient fields were freed ahead of the Hough passes,
         # the traced peak was 11.05 MB where that change was planned and
-        # 10.36 MiB for this eye. It is now 4.00 MiB: the gradient's
+        # 10.36 MiB for this eye. It is now 3.31 MiB: the gradient's
         # magnitude is freed once the pupil edge map exists (kept through
-        # the weighting, the peak is 4.68 MiB), and gx, gy and the weighted
-        # field once the limbic map exists (kept through the Hough passes,
-        # 4.07 MiB). The ceiling leaves 1 MiB (25%) for other numpy and
-        # scipy versions.
+        # the weighting, the peak is 3.51 MiB), the gradient's gx once the
+        # weighted field exists (kept through the limbic edge stage, 4.00
+        # MiB), and the weighted field once the limbic map exists (kept
+        # through the Hough passes, 4.75 MiB). The ceiling leaves 1.69 MiB
+        # (51%) for other numpy and scipy versions.
         eye = make_benchmark(1, 1, 1, seed=5)[0][0]
         localize_iris(eye.image)  # first-call set-up is not per image
         tracemalloc.start()
