@@ -453,10 +453,11 @@ def write_report(report: EvalReport, class_names: list[str], prefix: str | Path)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     txt = prefix.with_suffix(".txt")
     kv = prefix.with_suffix(".kv")
-    with replacing(txt) as partial:
-        partial.write_text(format_report_text(report, class_names))
-    with replacing(kv) as partial:
-        partial.write_text(format_report_kv(report, class_names))
+    # Both files are written before either is renamed, so a failed write
+    # leaves the previous pair as it was.
+    with replacing(txt) as txt_partial, replacing(kv) as kv_partial:
+        txt_partial.write_text(format_report_text(report, class_names))
+        kv_partial.write_text(format_report_kv(report, class_names))
     return txt, kv
 
 

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from irislam.errors import FormatError
 from irislam.files import replacing
 from irislam.normalization import IrisTemplate
 
 _ZERO_NORM_EPS = 1e-12
+# A loaded neuron's norm may differ from 1 by at most this.
+_UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,12 @@ class LamstarNetwork:
     def _freeze(self) -> None:
         """End neuron growth: create the zeroed decision layer, whose global
         neuron order is the store's row-major order, and mark the store's
-        occupied slots for the winner search."""
+        occupied slots."""
         self.decision = DecisionLayer(self.counts, self.num_classes)
         self._valid = np.arange(self.neurons.shape[1]) < self.counts[:, None]
+        # (slot, module) pairs past the module's count, as flat slot-major
+        # indices: the winner search's dots of these slots are -inf.
+        self._empty = np.flatnonzero(~self._valid.T)
         self._links = None
 
     def _link_scores(self) -> np.ndarray:
@@ -138,23 +144,40 @@ class LamstarNetwork:
             self._links = (variant, self.decision.effective_matrix(variant))
         return self._links[1]
 
-    def _find_winners(self, cols: np.ndarray, shifts: np.ndarray | list[int]) -> np.ndarray:
+    def _find_winners(self, cols: np.ndarray, first: int, count: int) -> np.ndarray:
         """Global neuron id of the winner per shift and module, shape
-        (len(shifts), num_modules), -1 for abstentions. cols is the
-        (num_modules, dim) subword matrix of unit or all-zero rows; module
-        m at shift s reads row (m - s) % num_modules, as
-        np.roll(values, s, axis=1) places it. An all-zero row abstains."""
-        index = (np.arange(self.num_modules)[:, None] - shifts) % self.num_modules
-        # Each module's window as one contiguous (dim, shifts) operand: one
+        (count, num_modules), -1 for abstentions, at the count shifts from
+        first up. cols is the (num_modules, dim) subword matrix of unit or
+        all-zero rows; module m at shift s reads row (m - s) % num_modules,
+        as np.roll(values, s, axis=1) places it. An all-zero row abstains."""
+        # Row p of the wrapped copy is row (p + 1 - first - count) % num_modules
+        # of cols, so module m reads wrapped rows m + count - 1 down to m at
+        # shifts first, first + 1, ...: its window, reversed.
+        rows = np.arange(1 - first - count, self.num_modules - first)
+        wrapped = np.take(cols, rows, axis=0, mode="wrap")
+        # Each module's window as one contiguous (dim, count) operand: one
         # product per module. With one shift it is the (dim, 1) product
         # train has always made, so the order each dot is summed in, and
         # with it the trained model, does not depend on the caller.
-        window = np.ascontiguousarray(cols[index].transpose(0, 2, 1))
-        dots = np.matmul(self.neurons, window)  # (modules, capacity, shifts)
-        dots[~self._valid] = -np.inf
-        winner = np.argmax(dots, axis=1)
-        top = np.take_along_axis(dots, winner[:, None], axis=1)[:, 0]
-        ok = (top >= self.config.winner_threshold) & cols.any(axis=1)[index]
+        window = np.ascontiguousarray(sliding_window_view(wrapped, count, axis=0)[:, :, ::-1])
+        # The products are stored slot-major, so that one slot's dots are one
+        # contiguous (modules, count) block. Each is the same product as
+        # before, written with a longer row stride, and gives the same dots
+        # bit for bit.
+        dots = np.empty((self.neurons.shape[1], self.num_modules, count))
+        np.matmul(self.neurons, window, out=dots.transpose(1, 0, 2))
+        dots.reshape(-1, count)[self._empty] = -np.inf
+        # A running max over the slots; the strict > keeps the lowest of
+        # tied slots, as np.argmax would.
+        top = dots[0].copy()
+        winner = np.zeros(top.shape, dtype=np.int64)
+        better = np.empty(top.shape, dtype=bool)
+        for slot in range(1, len(dots)):
+            np.greater(dots[slot], top, out=better)
+            np.maximum(top, dots[slot], out=top)
+            winner[better] = slot
+        present = sliding_window_view(wrapped.any(axis=1), count)[:, ::-1]
+        ok = (top >= self.config.winner_threshold) & present
         return np.where(ok, self.decision.offsets[:-1, None] + winner, -1).T
 
 
@@ -227,7 +250,7 @@ def train(
     net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
-    winners = [net._find_winners(subword_matrix(t.values), [0])[0] for t in templates]
+    winners = [net._find_winners(subword_matrix(t.values), 0, 1)[0] for t in templates]
 
     dec = net.decision
     epoch_errors: list[int] = []
@@ -269,12 +292,11 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     cols = subword_matrix(t.values)
     # Shifts past the first num_modules repeat a rotation already scored,
     # and argmax keeps the first, so they are not searched.
-    shifts = np.arange(-shift_range, -shift_range + min(2 * shift_range + 1, net.num_modules))
-    gids = net._find_winners(cols, shifts)
+    gids = net._find_winners(cols, -shift_range, min(2 * shift_range + 1, net.num_modules))
     scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
-                      shift=int(shifts[best]))
+                      shift=best - shift_range)
 
 
 # One sparse decision-layer entry of an LNS1 file.
@@ -389,6 +411,10 @@ def load_model(path: str | Path) -> LamstarNetwork:
     weights = np.frombuffer(b"".join(blocks), dtype="<f8").reshape(-1, subword_dim)
     if not np.isfinite(weights).all():
         raise FormatError("LNS1 neuron weight is not finite")
+    # Training keeps every neuron unit to within a few ulps, so every dot
+    # of a neuron and a subword lies in [-1, 1].
+    if np.any(np.abs(np.sqrt(np.einsum("ij,ij->i", weights, weights)) - 1) > _UNIT_NORM_TOL):
+        raise FormatError(f"LNS1 neuron weight vector is not unit norm (to {_UNIT_NORM_TOL})")
     body = len(data) - pos - 8
     if body < 0 or body % _RECORD.itemsize:
         raise FormatError("malformed LNS1 decision-layer section")

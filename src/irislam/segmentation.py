@@ -315,16 +315,19 @@ def _ring_gather(e: np.ndarray, r_max: int, rounded: np.ndarray):
     flat = np.zeros((h + 2 * r_max, stride), dtype=np.uint8)
     flat[r_max : r_max + h, r_max : r_max + w] = e
     flat = flat.ravel()
+    rings = {}  # radius -> the ring's offsets into flat, made on first use
 
     def votes(r: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        # A rounded distance is at least its larger axis, so the ring's
-        # offsets (i, j) with i >= 1, j >= 0 lie in rounded[1 : r + 1, : r + 1];
-        # its quarter turns cover each other offset exactly once.
-        i, j = np.nonzero(rounded[1 : r + 1, : r + 1] == r)
-        i += 1
-        dy, dx = np.concatenate((i, -j, -i, j)), np.concatenate((j, i, -j, -i))
+        if r not in rings:
+            # A rounded distance is at least its larger axis, so the ring's
+            # offsets (i, j) with i >= 1, j >= 0 lie in rounded[1 : r + 1, : r + 1];
+            # its quarter turns cover each other offset exactly once.
+            i, j = np.nonzero(rounded[1 : r + 1, : r + 1] == r)
+            i += 1
+            dy, dx = np.concatenate((i, -j, -i, j)), np.concatenate((j, i, -j, -i))
+            rings[r] = dy * stride + dx
         base = (ys + r_max) * stride + xs + r_max
-        return flat[base[:, None] + (dy * stride + dx)].sum(axis=1, dtype=np.int64)
+        return flat[base[:, None] + rings[r]].sum(axis=1, dtype=np.int64)
 
     return votes
 

@@ -121,6 +121,24 @@ def test_failed_write_keeps_the_previous_file(tmp_path, small_dataset, monkeypat
     assert files_under(tmp_path) == before
 
 
+def test_failed_kv_write_keeps_both_reports(tmp_path, monkeypatch):
+    write_report(report(1.0), ["a"], tmp_path / "report")
+    before = files_under(tmp_path)
+    write_text = Path.write_text
+
+    def kv_disk_full(self, *args, **kwargs):
+        if self.name.startswith("report.kv."):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", kv_disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        write_report(report(0.0), ["a"], tmp_path / "report")
+    monkeypatch.undo()
+    # the new .txt was written, but not renamed over the old one
+    assert files_under(tmp_path) == before
+
+
 def test_written_files_follow_the_umask(tmp_path):
     umask = os.umask(0o027)
     try:

@@ -96,6 +96,26 @@ def reference_classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int):
     return int(np.argmax(best_scores)), best_shift, best_scores
 
 
+def reference_winners(net: LamstarNetwork, cols: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Per-shift reference of the winner search: the window built by one
+    fancy index per module and shift, the same product, then per shift and
+    module np.argmax over the module's occupied slots only; the winner
+    stands if it clears the threshold and the column is not all zero.
+    Returns global neuron ids, shape (count, num_modules), -1 to abstain."""
+    index = (np.arange(net.num_modules)[:, None] - np.arange(first, first + count)) % net.num_modules
+    dots = np.matmul(net.neurons, np.ascontiguousarray(cols[index].transpose(0, 2, 1)))
+    offsets = np.cumsum([0, *net.counts])
+    out = np.full((count, net.num_modules), -1)
+    for k in range(count):
+        for m, n in enumerate(net.counts):
+            if n == 0 or not cols[index[m, k]].any():
+                continue
+            winner = int(np.argmax(dots[m, :n, k]))
+            if dots[m, winner, k] >= net.config.winner_threshold:
+                out[k, m] = offsets[m] + winner
+    return out
+
+
 class TestUnitColumns:
     def test_three_four_five(self):
         cols = subword_matrix(np.array([[3.0], [4.0]]))
@@ -408,6 +428,40 @@ class TestTrain:
         assert peaks[1] - peaks[0] < 2**20
 
 
+class TestWinnerSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0.95, 0.5, 0.0, -0.5, -1.0, -2.0]))
+    def test_matches_per_shift_argmax(self, data, threshold):
+        num_modules = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(1, 4))
+        elements = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        # few distinct directions, so neurons and dots tie often; modules
+        # of 0 to 4 neurons leave empty padded slots
+        counts = np.array(data.draw(st.lists(st.integers(0, 4), min_size=num_modules,
+                                             max_size=num_modules)))
+        net = LamstarNetwork(num_modules, dim, 1, LamstarConfig(winner_threshold=threshold))
+        net.counts = counts
+        net.neurons = np.zeros((num_modules, max(1, counts.max()), dim))
+        for m, n in enumerate(counts):
+            for slot in range(n):
+                if slot and data.draw(st.booleans()):  # a tie with the slot before
+                    net.neurons[m, slot] = net.neurons[m, slot - 1]
+                    continue
+                v = data.draw(arrays(np.float64, dim, elements=elements))
+                v[0] += not v.any()
+                net.neurons[m, slot] = v / np.linalg.norm(v)
+        net._freeze()
+        # all-zero columns abstain; negative dots lose to an empty slot's 0
+        # unless empty slots are kept out
+        values = data.draw(arrays(np.float64, (dim, num_modules), elements=elements))
+        values[:, data.draw(arrays(bool, num_modules))] = 0.0
+        cols = subword_matrix(values)
+        count = data.draw(st.one_of(st.just(num_modules), st.integers(1, num_modules)))
+        first = data.draw(st.integers(-2 * num_modules, 2 * num_modules))
+        winners = net._find_winners(cols, first, count)
+        assert winners.tobytes() == reference_winners(net, cols, first, count).tobytes()
+
+
 class TestClassify:
     def trained_net(self):
         rng = np.random.default_rng(7)
@@ -700,6 +754,25 @@ class TestModelFile:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"{section} weight is not finite"):
             load_model(p)
+
+    @pytest.mark.parametrize("bit, loads", [(0, True), (52, False), (61, False)],
+                             ids=["last_mantissa_bit", "lowest_exponent_bit", "high_exponent_bit"])
+    def test_neuron_norm_checked(self, tmp_path, bit, loads):
+        data = bytearray(self.toy_model_bytes(tmp_path))
+        # the first neuron is the unit vector (1, 0); its first weight
+        # follows the header and module 0's count
+        offset = data.index(b"\n") + 1 + 4
+        first = np.frombuffer(bytes(data[offset : offset + 8]), dtype="<f8")[0]
+        assert first == 1.0
+        flipped = (np.float64(first).view(np.uint64) ^ np.uint64(1 << bit)).view(np.float64)
+        data[offset : offset + 8] = flipped.astype("<f8").tobytes()
+        p = tmp_path / "bad.lns"
+        p.write_bytes(bytes(data))
+        if loads:  # one ulp off unit, as rounding in training leaves it
+            assert load_model(p).neurons[0, 0, 0] == flipped
+        else:
+            with pytest.raises(FormatError, match="not unit norm"):
+                load_model(p)
 
     def test_truncated_neuron_block_rejected(self, tmp_path):
         data = self.toy_model_bytes(tmp_path)
