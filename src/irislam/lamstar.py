@@ -161,9 +161,9 @@ class LamstarNetwork:
         # with it the trained model, does not depend on the caller.
         window = np.ascontiguousarray(sliding_window_view(wrapped, count, axis=0)[:, :, ::-1])
         # The products are stored slot-major, so that one slot's dots are one
-        # contiguous (modules, count) block. Each is the same product as
-        # before, written with a longer row stride, and gives the same dots
-        # bit for bit.
+        # contiguous (modules, count) block. That changes only the row
+        # stride each module's product is written with, not how its dots
+        # are summed.
         dots = np.empty((self.neurons.shape[1], self.num_modules, count))
         np.matmul(self.neurons, window, out=dots.transpose(1, 0, 2))
         dots.reshape(-1, count)[self._empty] = -np.inf
@@ -293,7 +293,8 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     # Shifts past the first num_modules repeat a rotation already scored,
     # and argmax keeps the first, so they are not searched.
     gids = net._find_winners(cols, -shift_range, min(2 * shift_range + 1, net.num_modules))
-    scores = np.array([eff[g[g >= 0]].sum(axis=0) for g in gids])
+    # np.take gathers the same rows as eff[...] in the same order, faster.
+    scores = np.array([np.take(eff, g[g >= 0], axis=0).sum(axis=0) for g in gids])
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
                       shift=best - shift_range)
