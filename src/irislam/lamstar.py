@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
+from scipy import sparse
 
 from irislam.errors import FormatError
 from irislam.files import replacing
@@ -159,7 +160,7 @@ class LamstarNetwork:
         # product per module. With one shift it is the (dim, 1) product
         # train has always made, so the order each dot is summed in, and
         # with it the trained model, does not depend on the caller.
-        window = np.ascontiguousarray(sliding_window_view(wrapped, count, axis=0)[:, :, ::-1])
+        window = np.ascontiguousarray(_reversed_windows(wrapped, count))
         # The products are stored slot-major, so that one slot's dots are one
         # contiguous (modules, count) block. That changes only the row
         # stride each module's product is written with, not how its dots
@@ -176,9 +177,20 @@ class LamstarNetwork:
             np.greater(dots[slot], top, out=better)
             np.maximum(top, dots[slot], out=top)
             winner[better] = slot
-        present = sliding_window_view(wrapped.any(axis=1), count)[:, ::-1]
+        present = _reversed_windows(wrapped.any(axis=1), count)
         ok = (top >= self.config.winner_threshold) & present
         return np.where(ok, self.decision.offsets[:-1, None] + winner, -1).T
+
+
+def _reversed_windows(a: np.ndarray, count: int) -> np.ndarray:
+    """Read-only view v of a with v[m, ..., j] = a[m + count - 1 - j]:
+    each run of count rows, last first, on the last axis, as
+    sliding_window_view(a, count, axis=0)[..., ::-1] gives it. as_strided
+    skips that function's argument checks, about 10 us a call, which is
+    much of the one-shift search that training runs per template."""
+    step = a.strides[0]
+    return as_strided(a[count - 1:], (len(a) - count + 1, *a.shape[1:], count),
+                      (step, *a.strides[1:], -step), writeable=False)
 
 
 def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None, bool]:
@@ -293,8 +305,14 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     # Shifts past the first num_modules repeat a rotation already scored,
     # and argmax keeps the first, so they are not searched.
     gids = net._find_winners(cols, -shift_range, min(2 * shift_range + 1, net.num_modules))
-    # np.take gathers the same rows as eff[...] in the same order, faster.
-    scores = np.array([np.take(eff, g[g >= 0], axis=0).sum(axis=0) for g in gids])
+    # Row s of the 0/1 matrix holds shift s's winners in module order, so
+    # the CSR product adds 1.0 * each winner's link row into zeros in that
+    # order: each score is summed as eff[ids].sum(axis=0) sums it.
+    active = gids >= 0
+    indptr = np.concatenate(([0], np.cumsum(active.sum(axis=1))))
+    onehot = sparse.csr_array((np.ones(indptr[-1]), gids[active], indptr),
+                              shape=(len(gids), len(eff)))
+    scores = onehot @ eff
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
                       shift=best - shift_range)

@@ -486,6 +486,19 @@ class TestClassify:
         assert pred.class_index == 0
         np.testing.assert_array_equal(pred.scores, np.zeros(2))
 
+    @pytest.mark.parametrize("shift_range", [0, 3])
+    def test_network_without_neurons(self, shift_range):
+        # Trained on all-zero templates only, the network grows no neuron,
+        # so its decision layer has no row and every shift scores zeros.
+        net = LamstarNetwork(6, 4, 2)
+        train(net, [IrisTemplate(np.zeros((4, 6)))] * 2, [0, 1])
+        assert net.decision.weights.shape == (0, 2)
+        probe = IrisTemplate(np.random.default_rng(13).random((4, 6)))
+        pred = classify(net, probe, shift_range=shift_range)
+        assert (pred.class_index, pred.shift) == (0, -shift_range)
+        assert pred.scores.dtype == np.float64
+        np.testing.assert_array_equal(pred.scores, np.zeros(2))
+
     def test_shift_search_recovers_rotated_template(self):
         rng = np.random.default_rng(8)
         # smooth angular pattern so shifted columns stay recognizable
