@@ -185,9 +185,10 @@ class LamstarNetwork:
 def _reversed_windows(a: np.ndarray, count: int) -> np.ndarray:
     """Read-only view v of a with v[m, ..., j] = a[m + count - 1 - j]:
     each run of count rows, last first, on the last axis, as
-    sliding_window_view(a, count, axis=0)[..., ::-1] gives it. as_strided
-    skips that function's argument checks, about 10 us a call, which is
-    much of the one-shift search that training runs per template."""
+    sliding_window_view(a, count, axis=0)[..., ::-1] gives it, but
+    without that function's argument checks. They cost about 10 us a
+    call, and the one-shift search that training runs per template makes
+    two calls in about 110 us."""
     step = a.strides[0]
     return as_strided(a[count - 1:], (len(a) - count + 1, *a.shape[1:], count),
                       (step, *a.strides[1:], -step), writeable=False)
