@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 processing error.
 Config files are flat `key = value` text; keys match HarnessConfig.echo()
-names (e.g. localization.sigma, lamstar.delta, shift_range). Each override
-flag sets the config key it names and wins over the file.
+names (e.g. localization.sigma, lamstar.delta, shift_range). A line whose
+first non-blank character is `#` is a comment; elsewhere `#` is part of the
+value. Each override flag sets the config key it names and wins over the file.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ EXIT_PROCESSING = 3
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")

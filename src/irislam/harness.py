@@ -175,7 +175,7 @@ class EvalReport:
     accuracy: float  # NaN when the test set is empty
     per_class_accuracy: np.ndarray
     confusion: np.ndarray  # (num_classes, num_classes) counts, rows = truth
-    train_seconds: float  # 0.0 unless the caller trained the model
+    train_seconds: float | None  # None unless the caller trained the model
     test_seconds: float
     config_echo: dict[str, str]
     num_test: int = 0
@@ -391,14 +391,12 @@ def run_eval(
     )
     # classify used the variant, delta and threshold saved in the model;
     # LNS1 records no other training setting, so none is echoed
-    model_cfg = replace(cfg, lamstar=replace(
-        cfg.lamstar, normalized=net.config.normalized, delta=net.config.delta,
-        winner_threshold=net.config.winner_threshold))
+    model_cfg = replace(cfg, lamstar=net.config)
     return EvalReport(
         accuracy=accuracy,
         per_class_accuracy=per_class,
         confusion=confusion,
-        train_seconds=0.0,
+        train_seconds=None,
         test_seconds=test_seconds,
         config_echo={k: v for k, v in model_cfg.echo().items()
                      if k not in _UNRECORDED_TRAINING_KEYS},
@@ -416,7 +414,8 @@ def format_report_text(report: EvalReport, class_names: list[str]) -> str:
         lines.append("accuracy: undefined (empty test set)")
     if report.num_failed:
         lines.append(f"excluded by localization failure: {report.num_failed}")
-    lines.append(f"train time: {report.train_seconds:.4f} s")
+    if report.train_seconds is not None:
+        lines.append(f"train time: {report.train_seconds:.4f} s")
     lines.append(f"test time:  {report.test_seconds:.4f} s")
     lines.append("per-class accuracy:")
     for name, acc in zip(class_names, report.per_class_accuracy):

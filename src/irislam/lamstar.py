@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import sparse
 
 from irislam.errors import FormatError
 from irislam.files import replacing
@@ -64,7 +63,6 @@ class DecisionLayer:
     def __init__(self, neuron_counts: list[int], num_classes: int):
         if num_classes < 1:
             raise ValueError("num_classes must be positive")
-        self.num_classes = num_classes
         # Module m owns global rows offsets[m] to offsets[m + 1].
         self.offsets = np.concatenate([[0], np.cumsum(neuron_counts)]).astype(np.int64)
         total = int(self.offsets[-1])
@@ -296,6 +294,8 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     ascending order). Modules with no neuron above the winner threshold
     abstain. Ties in the final argmax go to the lowest class index.
     """
+    # Imported here so that commands that never classify do not load it.
+    from scipy import sparse
     if net.decision is None:
         raise ValueError("network has not been trained")
     if shift_range < 0:

@@ -29,7 +29,7 @@ import heapq
 import math
 import mmap
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft

@@ -315,11 +315,23 @@ class TestConfigFile:
 
     def test_unparseable_value_exits_3(self, capsys, synth_root, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("lamstar.epochs = two\n")
-        code, _, err = run(capsys, "train", "--data", str(synth_root),
-                           "--out", str(tmp_path / "m.lns"), "--config", str(cfg))
-        assert code == 3
-        assert "lamstar.epochs" in err
+        # a # after a value is part of it, so a trailing comment does not parse
+        for value in ("two", "2  # fewer"):
+            cfg.write_text(f"lamstar.epochs = {value}\n")
+            code, _, err = run(capsys, "train", "--data", str(synth_root),
+                               "--out", str(tmp_path / "m.lns"), "--config", str(cfg))
+            assert code == 3, value
+            assert "lamstar.epochs" in err
+
+    def test_hash_inside_a_value_is_kept(self, capsys, synth_root, tmp_path):
+        cache = tmp_path / "run#1" / "cache"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"  # only a line that starts with # is a comment\ncache_dir = {cache}\n")
+        code, _, _ = run(capsys, "train", "--data", str(synth_root), "--out",
+                         str(tmp_path / "m.lns"), "--train-per-class", "2", "--config", str(cfg))
+        assert code == 0
+        assert len(list(cache.rglob("*.irt"))) == 4
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_key_exits_3(self, capsys, synth_root, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -399,7 +399,7 @@ class TestReports:
         report = run_eval(model_path, index, cfg)
         txt, kv = write_report(report, index.class_names, tmp_path / "report")
         assert "accuracy:" in txt.read_text()
-        assert "train time:" in txt.read_text()
+        assert "train time:" not in txt.read_text()  # eval trained nothing
         kv_text = kv.read_text()
         assert kv_text.startswith("accuracy = ")
         # machine report is timing-free so identical runs are byte-identical
@@ -427,6 +427,9 @@ class TestCompareVariants:
             kv1 = (out1 / f"{r1.name}_report.kv").read_bytes()
             kv2 = (out2 / f"{r2.name}_report.kv").read_bytes()
             assert kv1 == kv2
+            # compare trained the model, so its text report gives the time
+            txt = (out1 / f"{r1.name}_report.txt").read_text()
+            assert f"train time: {r1.log.train_seconds:.4f} s\n" in txt
 
     def test_variants_differ_only_in_normalized_flag(self, trained, tmp_path):
         root, index, cfg, _, _ = trained

@@ -1,6 +1,11 @@
 import errno
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,6 +503,35 @@ class TestClassify:
         assert (pred.class_index, pred.shift) == (0, -shift_range)
         assert pred.scores.dtype == np.float64
         np.testing.assert_array_equal(pred.scores, np.zeros(2))
+
+    def test_scipy_sparse_loaded_by_classify_only(self, tmp_path):
+        # Commands that never classify do not load scipy.sparse; in a fresh
+        # interpreter the first classify loads it and scores as here.
+        net, _, _ = self.trained_net()
+        save_model(net, tmp_path / "m.lns")
+        probe = np.random.default_rng(21).random((4, 12))
+        np.save(tmp_path / "probe.npy", probe)
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import irislam.cli, irislam.harness
+            before = "scipy.sparse" in sys.modules
+            from irislam.lamstar import classify, load_model
+            from irislam.normalization import IrisTemplate
+            pred = classify(load_model(sys.argv[1]), IrisTemplate(np.load(sys.argv[2])), 3)
+            print(before, "scipy.sparse" in sys.modules, pred.class_index, pred.shift,
+                  pred.scores.tobytes().hex())
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.lns"),
+                               str(tmp_path / "probe.npy")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        pred = classify(load_model(tmp_path / "m.lns"), IrisTemplate(probe), 3)
+        assert proc.stdout.split() == ["False", "True", str(pred.class_index), str(pred.shift),
+                                       pred.scores.tobytes().hex()]
 
     def test_shift_search_recovers_rotated_template(self):
         rng = np.random.default_rng(8)
