@@ -18,13 +18,16 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from irislam.errors import FormatError
 from irislam.files import replacing
-from irislam.normalization import IrisTemplate
+
+if TYPE_CHECKING:
+    from irislam.normalization import IrisTemplate
 
 _ZERO_NORM_EPS = 1e-12
 # A loaded neuron's norm may differ from 1 by at most this.

@@ -17,14 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
 
 from irislam.errors import FormatError
 from irislam.files import replacing
-from irislam.imaging import GrayImage
-from irislam.segmentation import IrisLocalization
+
+if TYPE_CHECKING:
+    from irislam.imaging import GrayImage
+    from irislam.segmentation import IrisLocalization
 
 
 @dataclass(eq=False)

@@ -127,17 +127,6 @@ def render_eye(spec: SyntheticEyeSpec) -> GrayImage:
     return GrayImage(np.clip(out, 0.0, 1.0))
 
 
-def render_fraction_annulus(width: int, height: int, loc: IrisLocalization) -> GrayImage:
-    """Analytic test image: annulus intensity equals the fractional
-    position between the pupil and iris boundaries along the pupil ray
-    (0 at the pupil edge, 1 at the limbus); pupil 0, outside 1."""
-    pupil_mask, annulus_mask, _, fraction = _annulus(width, height, loc)
-    out = np.ones((height, width))
-    out[pupil_mask] = 0.0
-    out[annulus_mask] = fraction
-    return GrayImage(out)
-
-
 @dataclass(frozen=True)
 class LabeledEye:
     image: GrayImage

@@ -64,6 +64,13 @@ class TestSegment:
         assert code == 2
         assert "data error" in err
 
+    def test_zero_width_pgm_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "empty.pgm"
+        p.write_bytes(b"P5\n0 280\n255\n")
+        code, _, err = run(capsys, "segment", str(p))
+        assert code == 2
+        assert "bad dimensions 0x280" in err
+
     def test_radius_bound_past_the_image_diagonal_exits_cleanly(self, capsys, synth_root,
                                                                  tmp_path):
         # The Hough searches no radius beyond the image diagonal.
@@ -236,6 +243,34 @@ class TestTrainEvalCompare:
         save_model(net, model)
         return data, model
 
+    def test_model_of_another_template_size_exits_3_before_segmenting(self, capsys, synth_root,
+                                                                       tmp_path):
+        data, _ = self.unsegmented_eval_inputs(synth_root, tmp_path)
+        net = LamstarNetwork(64, 10, 2)
+        train(net, [IrisTemplate(np.full((10, 64), v)) for v in (0.2, 0.8)], [0, 1])
+        model = tmp_path / "small.lns"
+        save_model(net, model)
+        code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                           "--train-per-class", "2")
+        assert code == 3
+        assert "model expects 10x64 templates, config produces 20x480" in err
+        assert not (data / ".template_cache").exists()
+
+    def test_every_test_image_unlocalized_gives_undefined_accuracy(self, capsys, synth_root,
+                                                                   tmp_path):
+        data, model = self.unsegmented_eval_inputs(synth_root, tmp_path)
+        for class_dir in ("class000", "class001"):
+            for path in sorted((data / class_dir).glob("*.pgm"))[2:]:  # its test split
+                save_gray_image(GrayImage(np.zeros((280, 320))), path)
+        report = tmp_path / "report"
+        code, out, _ = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                           "--train-per-class", "2", "--report", str(report))
+        assert code == 0
+        assert "accuracy: undefined (empty test set)" in out
+        txt = report.with_suffix(".txt").read_text().splitlines()
+        assert txt[:2] == ["accuracy: undefined (empty test set)",
+                           "excluded by localization failure: 2"]
+
     @pytest.mark.parametrize("shift_range", ["241", "1000000000"])
     def test_oversized_shift_range_exits_3_before_segmenting(self, capsys, synth_root, tmp_path,
                                                             shift_range):
@@ -332,6 +367,23 @@ class TestConfigFile:
         assert code == 0
         assert len(list(cache.rglob("*.irt"))) == 4
         assert not (tmp_path / "run").exists()
+
+    def test_line_without_equals_exits_3(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("shift_range = 1\nlamstar.epochs 2\n")
+        code, _, err = run(capsys, "train", "--data", str(synth_root),
+                           "--out", str(tmp_path / "m.lns"), "--config", str(cfg))
+        assert code == 3
+        assert f"{cfg}:2: expected 'key = value'" in err
+
+    def test_quoted_value_that_is_not_a_string_exits_3(self, capsys, synth_root, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("cache_dir = 'a',\n")  # a tuple literal
+        code, _, err = run(capsys, "train", "--data", str(synth_root),
+                           "--out", str(tmp_path / "m.lns"), "--config", str(cfg))
+        assert code == 3
+        assert "config key 'cache_dir': cannot parse" in err
+        assert not (tmp_path / "m.lns").exists()
 
     def test_unknown_key_exits_3(self, capsys, synth_root, tmp_path):
         cfg = tmp_path / "cfg.txt"

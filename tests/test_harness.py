@@ -161,6 +161,37 @@ class TestRunTrain:
         assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
         assert all(any(d.iterdir()) for d in class_cache.iterdir())
 
+    def test_replaced_image_keeps_its_twins_hash_directory(self, small_dataset, tmp_path,
+                                                           monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data, ignore=shutil.ignore_patterns(".template_cache"))
+        index = index_dataset(data, 3)
+        entries = index.split("train")[:2]
+        assert entries[0].class_id == entries[1].class_id
+        target, twin = (e.path for e in entries)
+        shutil.copyfile(twin, target)  # byte-identical images share one image-hash directory
+        cfg = HarnessConfig(train_per_class=3)
+        harness._templates_for(entries, index, cfg)
+        class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
+        (shared,) = class_cache.iterdir()
+        twin_entry = shared / f"{twin.stem}.irt"
+        twin_bytes = twin_entry.read_bytes()
+        # another eye under the target's name
+        shutil.copyfile(index.split("train")[2].path, target)
+        computed = []
+        compute_template = harness.compute_template
+
+        def spy(path, label, cfg):
+            computed.append(path)
+            return compute_template(path, label, cfg)
+
+        monkeypatch.setattr(harness, "compute_template", spy)
+        harness._templates_for(entries, index, cfg)
+        assert computed == [target]  # the twin is a cache hit
+        assert sorted(shared.iterdir()) == [twin_entry]
+        assert twin_entry.read_bytes() == twin_bytes
+        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
+
     def test_shared_cache_dir_keeps_both_datasets(self, trained, tmp_path, monkeypatch):
         root, index, cfg, first, _ = trained
         shared = tmp_path / "shared"
@@ -338,6 +369,11 @@ class TestTemplatePool:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
 
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness._worker_count() == 3
+
     def test_pool_matches_one_worker(self, small_dataset, tmp_path, monkeypatch, caplog):
         index, entries = self.misses(small_dataset, tmp_path)
         for blank in (entries[1], entries[3]):
@@ -504,3 +540,9 @@ class TestFlatSettings:
         for angular_res, shift_range in ((64, 33), (5, 3), (480, 10**9)):
             with pytest.raises(ConfigError, match="shift_range"):
                 HarnessConfig(angular_res=angular_res, shift_range=shift_range)
+
+
+@pytest.mark.parametrize("train_per_class", [0, -1])
+def test_argument_errors(small_dataset, train_per_class):
+    with pytest.raises(ValueError, match="train_per_class must be positive"):
+        index_dataset(small_dataset, train_per_class)

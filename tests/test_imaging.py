@@ -254,3 +254,9 @@ class TestWeightVerticalGradient:
         for bad in (1.5, -0.1, np.nan):
             with pytest.raises(ValueError):
                 GrayImage(np.array([[0.0, bad]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (6,), ()], ids=["3d", "1d", "0d"])
+def test_argument_errors(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        GrayImage(np.zeros(shape))

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +50,18 @@ SLICED_LNS1_SHA256 = "054d35b4cb940d9e8316dfff1d9eb05d58ecc94def09a97be724a03d54
 def unit(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x / np.linalg.norm(x)
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Run script in a fresh interpreter that imports this checkout's
+    irislam; returns its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
@@ -522,16 +535,10 @@ class TestClassify:
             print(before, "scipy.sparse" in sys.modules, pred.class_index, pred.shift,
                   pred.scores.tobytes().hex())
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.lns"),
-                               str(tmp_path / "probe.npy")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        out = run_fresh(script, str(tmp_path / "m.lns"), str(tmp_path / "probe.npy"))
         pred = classify(load_model(tmp_path / "m.lns"), IrisTemplate(probe), 3)
-        assert proc.stdout.split() == ["False", "True", str(pred.class_index), str(pred.shift),
-                                       pred.scores.tobytes().hex()]
+        assert out.split() == ["False", "True", str(pred.class_index), str(pred.shift),
+                               pred.scores.tobytes().hex()]
 
     def test_shift_search_recovers_rotated_template(self):
         rng = np.random.default_rng(8)
@@ -976,3 +983,37 @@ class TestModelFile:
         # 1 MiB of slack: the neuron blocks (192 kB at most here) copied into
         # one buffer, and one slice's temporaries
         assert peak <= (tmp_path / "big.lns").stat().st_size + network + 2**20
+
+
+def test_each_import_loads_only_what_it_runs():
+    # The package root loads no stage, the network no image code, and the
+    # rubber sheet neither the Hough nor the edge stages.
+    script = textwrap.dedent("""
+        import json, sys
+        loaded = []
+        for name in ("irislam", "irislam.lamstar", "irislam.normalization"):
+            __import__(name)
+            loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in ("irislam", "scipy")))
+        print(json.dumps(loaded))
+    """)
+    root, network, rubber_sheet = json.loads(run_fresh(script))
+    assert root == ["irislam"]
+    assert network == ["irislam", "irislam.errors", "irislam.files", "irislam.lamstar"]
+    assert not {"scipy.fft", "irislam.imaging", "irislam.segmentation"} & set(rubber_sheet)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DecisionLayer([1], num_classes=0), "num_classes must be positive"),
+    (lambda: LamstarNetwork(0, 3, 2), "must be positive"),
+    (lambda: LamstarNetwork(4, 0, 2), "must be positive"),
+    (lambda: LamstarNetwork(4, 3, 0), "must be positive"),
+    (lambda: train(LamstarNetwork(4, 3, 2), [IrisTemplate(np.ones((3, 4)))], [0, 1]),
+     "same length"),
+    (lambda: train(LamstarNetwork(4, 3, 2), [], []), "training set is empty"),
+    (lambda: classify(LamstarNetwork(4, 3, 2), IrisTemplate(np.ones((3, 4)))),
+     "has not been trained"),
+], ids=["decision_without_classes", "no_modules", "no_subword_rows", "no_classes",
+        "train_lengths_differ", "train_empty", "classify_untrained"])
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -16,7 +16,8 @@ from irislam.normalization import (
     unwrap,
 )
 from irislam.segmentation import Circle, IrisLocalization
-from irislam.synthdata import render_fraction_annulus
+
+from fraction_annulus import render_fraction_annulus
 
 
 def bisect_ray_circle(loc: IrisLocalization, theta: float, tol=1e-12) -> float:
@@ -271,3 +272,14 @@ class TestTemplateFile:
             p.write_bytes(data)
             with pytest.raises(FormatError):
                 load_template(p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: IrisTemplate(np.zeros(8)), "2-D"),
+    (lambda path: save_template(IrisTemplate(np.zeros((2, 4)), label="left eye"), path),
+     "whitespace"),
+], ids=["one_dimensional_template", "label_with_whitespace"])
+def test_argument_errors(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path / "t.irt")
+    assert not list(tmp_path.iterdir())

@@ -651,6 +651,12 @@ class TestCircularHough:
         with pytest.raises(ValueError):
             circular_hough(EdgeMap(edges), 20, 10)
 
+    @pytest.mark.parametrize("box", [(-30, -1, 10, 40), (10, 40, 50, 90), (60, 99, 60, 99)])
+    def test_center_search_off_the_image_rejected(self, box):
+        edges = rasterize_circle(50, 50, 25, 25, 10)
+        with pytest.raises(LocalizationError, match="empty center-search region"):
+            circular_hough(EdgeMap(edges), 5, 20, box)
+
 
 class TestRingSpectra:
     def test_cap_holds_and_votes_stay_exact_once_full(self, monkeypatch):
@@ -841,6 +847,12 @@ class TestLocalizeIris:
         img = GrayImage(np.full((280, 320), 0.5))
         with pytest.raises(LocalizationError):
             localize_iris(img)
+
+    def test_implausible_geometry_fails(self, monkeypatch):
+        # both passes find the same circle, so the pupil is not inside the iris
+        monkeypatch.setattr(segmentation, "_find_boundary", lambda *args: Circle(160, 140, 60))
+        with pytest.raises(LocalizationError, match="implausible geometry: pupil radius"):
+            localize_iris(GrayImage(np.full((280, 320), 0.5)))
 
     def test_too_small_image_fails(self):
         img = GrayImage(np.zeros((60, 60)))

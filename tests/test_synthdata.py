@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from irislam.synthdata import (
     SyntheticEyeSpec,
     make_benchmark,
     render_eye,
-    render_fraction_annulus,
 )
+
+from fraction_annulus import render_fraction_annulus
 
 
 def spec(class_id=0, rotation=0.0, noise=0.0, seed=1):
@@ -125,3 +127,13 @@ class TestMakeBenchmark:
             make_benchmark(0, 1, 1, seed=0)
         with pytest.raises(ValueError):
             make_benchmark(1, 0, 1, seed=0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"noise_sigma": -0.01}, "noise_sigma"),
+    ({"pupil": Circle(260, 140, 30), "iris": Circle(260, 140, 70)}, "does not fit"),
+    ({"pupil": Circle(160, 230, 30), "iris": Circle(160, 230, 70)}, "does not fit"),
+], ids=["negative_noise", "iris_past_the_right_edge", "iris_past_the_bottom_edge"])
+def test_argument_errors(changes, message):
+    with pytest.raises(ValueError, match=message):
+        replace(spec(), **changes)
