@@ -51,8 +51,11 @@ def subword_matrix(values: np.ndarray) -> np.ndarray:
     cols = values.T.astype(np.float64, copy=True)
     norms = np.linalg.norm(cols, axis=1)
     zero = norms < _ZERO_NORM_EPS
+    # Flagged rows are divided by 1 and then zeroed, so every row is
+    # divided in place and none by a (near-)zero norm.
+    norms[zero] = 1.0
+    cols /= norms[:, None]
     cols[zero] = 0.0
-    cols[~zero] /= norms[~zero, None]
     return cols
 
 
@@ -152,16 +155,19 @@ class LamstarNetwork:
         first up. cols is the (num_modules, dim) subword matrix of unit or
         all-zero rows; module m at shift s reads row (m - s) % num_modules,
         as np.roll(values, s, axis=1) places it. An all-zero row abstains."""
-        # Row p of the wrapped copy is row (p + 1 - first - count) % num_modules
-        # of cols, so module m reads wrapped rows m + count - 1 down to m at
-        # shifts first, first + 1, ...: its window, reversed.
-        rows = np.arange(1 - first - count, self.num_modules - first)
-        wrapped = np.take(cols, rows, axis=0, mode="wrap")
-        # Each module's window as one contiguous (dim, count) operand: one
-        # product per module. With one shift it is the (dim, 1) product
-        # train has always made, so the order each dot is summed in, and
-        # with it the trained model, does not depend on the caller.
-        window = np.ascontiguousarray(_reversed_windows(wrapped, count))
+        # Column q of ext is row (num_modules - 1 - first - q) % num_modules
+        # of cols, so module m reads columns num_modules - 1 - m up to
+        # num_modules - 2 - m + count at shifts first, first + 1, ...
+        modules = self.num_modules
+        ext = np.take(cols.T, modules - 1 - first - np.arange(modules + count - 1),
+                      axis=1, mode="wrap")
+        # Each module's (dim, count) operand is a row-major view into ext with
+        # leading dimension ext.shape[1]: one product per module, the gemm a
+        # packed copy of the window would get, with the same bits. With one
+        # shift it is the (dim, 1) product train has always made, so the order
+        # each dot is summed in, and with it the trained model, does not
+        # depend on the caller.
+        window = _module_windows(ext, count)
         # The products are stored slot-major, so that one slot's dots are one
         # contiguous (modules, count) block. That changes only the row
         # stride each module's product is written with, not how its dots
@@ -178,21 +184,22 @@ class LamstarNetwork:
             np.greater(dots[slot], top, out=better)
             np.maximum(top, dots[slot], out=top)
             winner[better] = slot
-        present = _reversed_windows(wrapped.any(axis=1), count)
+        present = _module_windows(ext.any(axis=0), count)
         ok = (top >= self.config.winner_threshold) & present
         return np.where(ok, self.decision.offsets[:-1, None] + winner, -1).T
 
 
-def _reversed_windows(a: np.ndarray, count: int) -> np.ndarray:
-    """Read-only view v of a with v[m, ..., j] = a[m + count - 1 - j]:
-    each run of count rows, last first, on the last axis, as
-    sliding_window_view(a, count, axis=0)[..., ::-1] gives it, but
-    without that function's argument checks. They cost about 10 us a
-    call, and the one-shift search that training runs per template makes
-    two calls in about 110 us."""
-    step = a.strides[0]
-    return as_strided(a[count - 1:], (len(a) - count + 1, *a.shape[1:], count),
-                      (step, *a.strides[1:], -step), writeable=False)
+def _module_windows(a: np.ndarray, count: int) -> np.ndarray:
+    """Read-only view v of a, whose last axis holds num_modules + count - 1
+    entries, with v[m, ..., j] = a[..., num_modules - 1 - m + j]: module m's
+    count entries, modules in reverse order along a. No data is copied. It
+    is built by as_strided, not sliding_window_view, whose argument checks
+    cost about 10 us a call: the one-shift search that training runs per
+    template makes two calls."""
+    step = a.strides[-1]
+    num_modules = a.shape[-1] - count + 1
+    return as_strided(a[..., num_modules - 1:], (num_modules, *a.shape[:-1], count),
+                      (-step, *a.strides[:-1], step), writeable=False)
 
 
 def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None, bool]:

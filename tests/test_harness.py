@@ -1,6 +1,7 @@
 import math
 import shutil
 import sys
+import textwrap
 import threading
 from dataclasses import replace
 from typing import get_type_hints
@@ -25,6 +26,8 @@ from irislam.harness import (
 from irislam.imaging import GrayImage, save_gray_image
 from irislam.lamstar import LamstarConfig
 from irislam.segmentation import LocalizationConfig
+
+from fresh_interpreter import run_fresh
 
 
 def make_empty_pgm_tree(root, layout):
@@ -285,6 +288,26 @@ class TestRunEval:
         ])
         report = run_eval(model_path, flipped, cfg)
         assert report.accuracy == 1.0
+
+    def test_classify_import_is_not_test_time(self, trained):
+        # In a fresh interpreter scipy.sparse is loaded before the first
+        # classify call, so the test-time clock does not time the import.
+        root, index, cfg, model_path, _ = trained
+        script = textwrap.dedent("""
+            import sys
+            from irislam import harness
+            loaded = []
+            classify = harness.classify
+            def spy(*args, **kwargs):
+                loaded.append("scipy.sparse" in sys.modules)
+                return classify(*args, **kwargs)
+            harness.classify = spy
+            index = harness.index_dataset(sys.argv[1], int(sys.argv[3]))
+            harness.run_eval(sys.argv[2], index, harness.HarnessConfig(train_per_class=int(sys.argv[3])))
+            print(*loaded)
+        """)
+        loaded = run_fresh(script, str(root), str(model_path), str(cfg.train_per_class)).split()
+        assert loaded == ["True"] * len(index.split("test"))
 
     def test_dimension_mismatch_rejected(self, trained):
         root, index, cfg, model_path, _ = trained

@@ -1,12 +1,9 @@
 import errno
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +27,8 @@ from irislam.lamstar import (
 from irislam.normalization import IrisTemplate, unwrap
 from irislam.synthdata import make_benchmark
 
+from fresh_interpreter import run_fresh
+
 # sha256 over (class index, shift, score bytes) of every pinned probe in
 # TestClassify.test_outputs_pinned, recorded from the einsum winner search
 # that preceded the stacked matmul. Both the stacked matmul and the one
@@ -50,18 +49,6 @@ SLICED_LNS1_SHA256 = "054d35b4cb940d9e8316dfff1d9eb05d58ecc94def09a97be724a03d54
 def unit(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x / np.linalg.norm(x)
-
-
-def run_fresh(script: str, *args: str) -> str:
-    """Run script in a fresh interpreter that imports this checkout's
-    irislam; returns its standard output."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def rewalk_scores(net: LamstarNetwork, t: IrisTemplate) -> np.ndarray:
@@ -175,6 +162,30 @@ class TestUnitColumns:
         assert cols.any(axis=1).tolist() == [True, True, False, True, True]
         np.testing.assert_array_equal(cols[2], np.zeros(4))
 
+    def test_tiny_column_zeroed_without_warning(self):
+        # Nonzero columns whose norm is under 1e-12, one of them subnormal,
+        # become +0.0 rows; no row is divided by its tiny norm.
+        vals = np.ones((4, 4))
+        vals[:, 1] = [1e-13, 0.0, -1e-13, 0.0]
+        vals[:, 2] = [0.0, -5e-324, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = subword_matrix(vals)
+        assert cols.any(axis=1).tolist() == [True, False, False, True]
+        assert cols[1:3].tobytes() == np.zeros((2, 4)).tobytes()
+
+    def test_equals_masked_divide(self):
+        # Normalizing in place gives the bytes of dividing only the rows
+        # whose norm clears the bound and zeroing the rest.
+        vals = np.random.default_rng(4).random((20, 480))
+        vals[:, ::7] *= 1e-13
+        expected = vals.T.astype(np.float64, copy=True)
+        norms = np.linalg.norm(expected, axis=1)
+        zero = norms < 1e-12
+        assert 0 < zero.sum() < len(zero)
+        expected[zero] = 0.0
+        expected[~zero] /= norms[~zero, None]
+        assert subword_matrix(vals).tobytes() == expected.tobytes()
 
 class TestSomPresent:
     def test_first_pattern_creates_neuron(self):
@@ -567,6 +578,23 @@ class TestClassify:
         net, templates, _ = self.trained_net()
         with pytest.raises(ValueError, match="shift_range"):
             classify(net, templates[0], shift_range=-1)
+
+    def test_shift_search_copies_no_window_per_module(self):
+        # At the identify benchmark's size (480 modules of 20 dims, 7 neuron
+        # slots) one classify at shift range 8 peaks below 1 MiB; a
+        # (modules, dim, shifts) copy of the shift window alone takes 1.3 MB.
+        rng = np.random.default_rng(27)
+        base = rng.random((7, 20, 480))
+        templates = [IrisTemplate(np.clip(b + rng.normal(0, 0.003, b.shape), 0, 1))
+                     for b in base for _ in range(3)]
+        net = LamstarNetwork(480, 20, 7)
+        train(net, templates, [c for c in range(7) for _ in range(3)])
+        assert net.neurons.shape == (480, 7, 20)
+        probe = IrisTemplate(np.roll(templates[0].values, 5, axis=1))
+        classify(net, probe, shift_range=8)  # makes the link matrix and loads scipy.sparse
+        pred, peak = traced_peak(lambda: classify(net, probe, shift_range=8))
+        assert (pred.class_index, pred.shift) == (0, -5)
+        assert peak < 2**20
 
     def test_huge_shift_range_searches_each_rotation_once(self):
         net, templates, _ = self.trained_net()
