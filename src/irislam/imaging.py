@@ -7,6 +7,7 @@ else should be converted externally.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
@@ -54,6 +55,11 @@ class GradientField:
     magnitude: np.ndarray
 
 
+# Whitespace and # comments (to the end of their line), then one header
+# token: the group is empty only at the end of the data.
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*\n?)*([^ \t\r\n#]*)")
+
+
 def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read `count` whitespace-separated header tokens, skipping # comments.
 
@@ -62,23 +68,13 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """
     tokens: list[bytes] = []
     i = 0
-    while len(tokens) < count:
-        if i >= len(data):
+    for _ in range(count):
+        match = _PGM_TOKEN.match(data, i)
+        if not match[1]:
             raise FormatError("truncated PGM header")
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-            continue
-        j = i
-        while j < len(data) and data[j : j + 1] not in b" \t\r\n#":
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if i >= len(data) or data[i : i + 1] not in b" \t\r\n":
+        tokens.append(match[1])
+        i = match.end()
+    if data[i : i + 1] not in (b" ", b"\t", b"\r", b"\n"):
         raise FormatError("missing whitespace after PGM maxval")
     return tokens, i + 1
 

@@ -47,8 +47,9 @@ class LamstarConfig:
 
 def subword_matrix(values: np.ndarray) -> np.ndarray:
     """Template columns as unit-norm subwords: a (num_columns, dim) matrix
-    in column order. A (near-)zero column becomes the all-zero vector."""
-    cols = values.T.astype(np.float64, copy=True)
+    in column order, made from C-ordered values so that no bit depends on
+    memory order. A (near-)zero column becomes the all-zero vector."""
+    cols = np.ascontiguousarray(values).T.astype(np.float64, copy=True)
     norms = np.linalg.norm(cols, axis=1)
     zero = norms < _ZERO_NORM_EPS
     # Flagged rows are divided by 1 and then zeroed, so every row is
@@ -132,12 +133,11 @@ class LamstarNetwork:
     def _freeze(self) -> None:
         """End neuron growth: create the zeroed decision layer, whose global
         neuron order is the store's row-major order, and mark the store's
-        occupied slots."""
+        empty slots."""
         self.decision = DecisionLayer(self.counts, self.num_classes)
-        self._valid = np.arange(self.neurons.shape[1]) < self.counts[:, None]
         # (slot, module) pairs past the module's count, as flat slot-major
         # indices: the winner search's dots of these slots are -inf.
-        self._empty = np.flatnonzero(~self._valid.T)
+        self._empty = np.flatnonzero(np.arange(self.neurons.shape[1])[:, None] >= self.counts)
         self._links = None
 
     def _link_scores(self) -> np.ndarray:
@@ -149,12 +149,14 @@ class LamstarNetwork:
             self._links = (variant, self.decision.effective_matrix(variant))
         return self._links[1]
 
-    def _find_winners(self, cols: np.ndarray, first: int, count: int) -> np.ndarray:
-        """Global neuron id of the winner per shift and module, shape
-        (count, num_modules), -1 for abstentions, at the count shifts from
-        first up. cols is the (num_modules, dim) subword matrix of unit or
-        all-zero rows; module m at shift s reads row (m - s) % num_modules,
-        as np.roll(values, s, axis=1) places it. An all-zero row abstains."""
+    def _find_winners(self, values: np.ndarray, first: int,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Winners of a template's values at the count shifts from first up,
+        as CSR rows: ids[indptr[k]:indptr[k + 1]] are shift first + k's
+        winning global neuron ids in module order; an abstaining module adds
+        none. Module m at shift s reads subword (m - s) % num_modules, as
+        np.roll(values, s, axis=1) places it; an all-zero subword abstains."""
+        cols = subword_matrix(values)
         # Column q of ext is row (num_modules - 1 - first - q) % num_modules
         # of cols, so module m reads columns num_modules - 1 - m up to
         # num_modules - 2 - m + count at shifts first, first + 1, ...
@@ -186,7 +188,8 @@ class LamstarNetwork:
             winner[better] = slot
         present = _module_windows(ext.any(axis=0), count)
         ok = (top >= self.config.winner_threshold) & present
-        return np.where(ok, self.decision.offsets[:-1, None] + winner, -1).T
+        winner += self.decision.offsets[:-1, None]
+        return winner.T[ok.T], np.concatenate(([0], np.cumsum(ok.sum(axis=0))))
 
 
 def _module_windows(a: np.ndarray, count: int) -> np.ndarray:
@@ -271,20 +274,19 @@ def train(
     net._freeze()
 
     # Winners are fixed once the SOM phase ends; resolve them once.
-    winners = [net._find_winners(subword_matrix(t.values), 0, 1)[0] for t in templates]
+    winners = [net._find_winners(t.values, 0, 1)[0] for t in templates]
 
     dec = net.decision
     epoch_errors: list[int] = []
     for _ in range(cfg.epochs):
         errors = 0
-        for gids, label in zip(winners, labels):
+        for ids, label in zip(winners, labels):
             # With every module abstaining, the empty gather scores zeros.
-            active = gids[gids >= 0]
-            scores = dec.effective_matrix(cfg.normalized, active).sum(axis=0)
+            scores = dec.effective_matrix(cfg.normalized, ids).sum(axis=0)
             errors += int(np.argmax(scores)) != label
-            dec.weights[active, :] -= cfg.delta
-            dec.weights[active, label] += 2 * cfg.delta
-            dec.reward_counts[active, label] += 1
+            dec.weights[ids, :] -= cfg.delta
+            dec.weights[ids, label] += 2 * cfg.delta
+            dec.reward_counts[ids, label] += 1
         epoch_errors.append(errors)
         if errors == 0:
             break
@@ -312,17 +314,14 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
         raise ValueError(f"shift_range must be >= 0, got {shift_range}")
     net._check_template(t)
     eff = net._link_scores()
-    cols = subword_matrix(t.values)
     # Shifts past the first num_modules repeat a rotation already scored,
     # and argmax keeps the first, so they are not searched.
-    gids = net._find_winners(cols, -shift_range, min(2 * shift_range + 1, net.num_modules))
+    ids, indptr = net._find_winners(t.values, -shift_range,
+                                    min(2 * shift_range + 1, net.num_modules))
     # Row s of the 0/1 matrix holds shift s's winners in module order, so
     # the CSR product adds 1.0 * each winner's link row into zeros in that
     # order: each score is summed as eff[ids].sum(axis=0) sums it.
-    active = gids >= 0
-    indptr = np.concatenate(([0], np.cumsum(active.sum(axis=1))))
-    onehot = sparse.csr_array((np.ones(indptr[-1]), gids[active], indptr),
-                              shape=(len(gids), len(eff)))
+    onehot = sparse.csr_array((np.ones(len(ids)), ids, indptr), shape=(len(indptr) - 1, len(eff)))
     scores = onehot @ eff
     best = int(np.argmax(scores.max(axis=1)))  # first shift with the highest top score
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
@@ -477,7 +476,7 @@ def load_model(path: str | Path) -> LamstarNetwork:
     net.counts = counts
     net.neurons = np.zeros((num_modules, max(1, counts.max()), subword_dim))
     net._freeze()
-    net.neurons[net._valid] = weights  # row-major order is the file's module order
+    net.neurons[np.arange(net.neurons.shape[1]) < counts[:, None]] = weights  # in file order
     dec = net.decision
     for records in _record_slices(data, pos, n_records):
         gids = dec.offsets[records["module"]] + records["neuron"]

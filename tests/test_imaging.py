@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from irislam.errors import FormatError
 from irislam.imaging import (
     GrayImage,
+    _read_pgm_tokens,
     compute_gradient,
     gaussian_smooth,
     load_gray_image,
@@ -117,6 +118,25 @@ class TestLoadGrayImage:
         p.write_bytes(b"P5\n# generated\n2 1\n255\n" + bytes([10, 20]))
         img = load_gray_image(p)
         assert img.width == 2
+
+    @pytest.mark.parametrize("header, expected", [
+        (b"P5 2#c\n1 255\n", ([b"P5", b"2", b"1", b"255"], 13)),
+        (b"P5\n# c\n2 2\n255\n\0", ([b"P5", b"2", b"2", b"255"], 15)),
+        (b"P5 2 1 # c", "truncated PGM header"),
+        (b"P5 2 1 255#x\n", "missing whitespace after PGM maxval"),
+        (b"P5 2 1 255", "missing whitespace after PGM maxval"),
+        # \x0b is not header whitespace: it stays inside its token
+        (b"P5\x0b2 1 255 0\n", ([b"P5\x0b2", b"1", b"255", b"0"], 13)),
+        (b"P5 2 1 255\x0b", "missing whitespace after PGM maxval"),
+        # after a CRLF maxval the raster starts at the \n, byte 13
+        (b"P5\r\n2 1\r\n255\r\n", ([b"P5", b"2", b"1", b"255"], 13)),
+    ])
+    def test_header_tokens(self, header, expected):
+        if isinstance(expected, str):
+            with pytest.raises(FormatError, match=expected):
+                _read_pgm_tokens(header, 4)
+        else:
+            assert _read_pgm_tokens(header, 4) == expected
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)

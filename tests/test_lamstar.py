@@ -121,6 +121,22 @@ def reference_winners(net: LamstarNetwork, cols: np.ndarray, first: int, count: 
     return out
 
 
+def as_winner_sets(gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reference_winners' (count, num_modules) ids, -1 to abstain, as the
+    search's CSR rows (ids, indptr)."""
+    won = gids >= 0
+    return gids[won], np.concatenate(([0], np.cumsum(won.sum(axis=1))))
+
+
+def assert_winner_sets(ids: np.ndarray, indptr: np.ndarray) -> None:
+    """CSR row invariants of the search's output; ids ascend within a row
+    because module m's global ids lie below module m + 1's."""
+    assert indptr[0] == 0 and indptr[-1] == len(ids)
+    assert np.all(np.diff(indptr) >= 0)
+    for k in range(len(indptr) - 1):
+        assert np.all(np.diff(ids[indptr[k] : indptr[k + 1]]) > 0)
+
+
 class TestUnitColumns:
     def test_three_four_five(self):
         cols = subword_matrix(np.array([[3.0], [4.0]]))
@@ -186,6 +202,26 @@ class TestUnitColumns:
         expected[zero] = 0.0
         expected[~zero] /= norms[~zero, None]
         assert subword_matrix(vals).tobytes() == expected.tobytes()
+
+    def test_memory_layout_leaves_every_byte(self, tmp_path):
+        # A Fortran-ordered copy of the values gives the C-ordered run's
+        # subwords, classify results and LNS1 bytes: only the values count.
+        rng = np.random.default_rng(5)
+        values = [rng.random((20, 48)) for _ in range(6)]
+        assert all(v.flags.c_contiguous for v in values)
+        fortran = np.asfortranarray(values[0])
+        assert subword_matrix(fortran).tobytes() == subword_matrix(values[0]).tobytes()
+        runs = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            templates = [IrisTemplate(order(v)) for v in values]
+            net = LamstarNetwork(48, 20, 2)
+            train(net, templates, [0, 1] * 3)
+            save_model(net, tmp_path / "m.lns")
+            preds = [classify(net, IrisTemplate(order(np.roll(v, 2, axis=1))), 3) for v in values]
+            runs.append(((tmp_path / "m.lns").read_bytes(),
+                         [(p.class_index, p.shift, p.scores.tobytes()) for p in preds]))
+        assert runs[0] == runs[1]
+
 
 class TestSomPresent:
     def test_first_pattern_creates_neuron(self):
@@ -484,11 +520,26 @@ class TestWinnerSearch:
         # unless empty slots are kept out
         values = data.draw(arrays(np.float64, (dim, num_modules), elements=elements))
         values[:, data.draw(arrays(bool, num_modules))] = 0.0
-        cols = subword_matrix(values)
         count = data.draw(st.one_of(st.just(num_modules), st.integers(1, num_modules)))
         first = data.draw(st.integers(-2 * num_modules, 2 * num_modules))
-        winners = net._find_winners(cols, first, count)
-        assert winners.tobytes() == reference_winners(net, cols, first, count).tobytes()
+        ids, indptr = net._find_winners(values, first, count)
+        assert_winner_sets(ids, indptr)
+        want = as_winner_sets(reference_winners(net, subword_matrix(values), first, count))
+        assert (ids.tobytes(), indptr.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+    def test_shifts_without_a_winner_are_empty_rows(self):
+        # Module m holds e_m (class 0) and e_(m-3) (class 1), so the class-0
+        # probe's subwords win at shift 0 only of -2..2.
+        eye = np.eye(6)
+        net = LamstarNetwork(6, 6, 2)
+        train(net, [IrisTemplate(eye), IrisTemplate(np.roll(eye, 3, axis=1))], [0, 1])
+        ids, indptr = net._find_winners(eye, -2, 5)
+        assert_winner_sets(ids, indptr)
+        assert np.diff(indptr).tolist() == [0, 0, 6, 0, 0]
+        assert ids.tolist() == net.decision.offsets[:-1].tolist()
+        pred, at_zero = (classify(net, IrisTemplate(eye), r) for r in (2, 0))
+        assert (pred.class_index, pred.shift) == (at_zero.class_index, 0) == (0, 0)
+        assert pred.scores.tobytes() == at_zero.scores.tobytes()
 
 
 class TestClassify:
@@ -1006,7 +1057,7 @@ class TestModelFile:
         save_model(self.big_network(), tmp_path / "big.lns")
         back, peak = traced_peak(lambda: load_model(tmp_path / "big.lns"))
         dec = back.decision
-        network = sum(a.nbytes for a in (back.neurons, back.counts, back._valid, dec.offsets,
+        network = sum(a.nbytes for a in (back.neurons, back.counts, dec.offsets,
                                          dec.weights, dec.reward_counts))
         # 1 MiB of slack: the neuron blocks (192 kB at most here) copied into
         # one buffer, and one slice's temporaries
