@@ -95,7 +95,11 @@ class HarnessConfig:
             ("lamstar.max_update_iters", lam.max_update_iters >= 1, ">= 1"),
             ("lamstar.delta", 0 < lam.delta < math.inf, "finite and > 0"),
             ("lamstar.learning_rate", 0 < lam.learning_rate <= 1, "in (0, 1]"),
-            ("lamstar.winner_threshold", math.isfinite(lam.winner_threshold), "finite"),
+            # No dot of two unit vectors passes 1 except by rounding, so a
+            # higher threshold makes a neuron of every subword and a model
+            # without a decision record, which load_model refuses.
+            ("lamstar.winner_threshold", -math.inf < lam.winner_threshold <= 1,
+             "finite and <= 1"),
             ("lamstar.convergence_target", math.isfinite(lam.convergence_target), "finite"),
             ("localization.sigma", 0 < loc.sigma < math.inf, "finite and > 0"),
             ("localization.t_high", 0 < loc.t_high <= 1, "in (0, 1]"),

@@ -215,23 +215,37 @@ def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None,
     otherwise a new neuron equal to the subword is appended, and when
     module m is full every module first gains one zero slot. The all-zero
     vector abstains.
+
+    train makes one call per module and template, so the step is written
+    for its per-call cost. The pull runs in place on the store's row:
+    step = s - w, step *= alpha, w += step, w /= sqrt(w.dot(w)). IEEE * and
+    + are commutative, so each element gets the bits of w + alpha*(s - w)
+    divided by np.linalg.norm(w). The winner's dots are np.dot of the
+    module's rows and s, the BLAS gemv that the @ operator also calls (ddot
+    when the module has one neuron), and the pull's stop test reads
+    w.dot(s), the ddot of w @ s. Which neuron wins at a tie or at the
+    threshold, and how many pulls a winner gets, follow those dots' bits,
+    so the trained neurons, and the golden LNS1 digests, depend on BLAS
+    gemv and ddot.
     """
-    if not s.any():
+    if not (s[0] or s.any()):  # s[0] settles most subwords without a scan
         return None, False
     cfg = net.config
     n = int(net.counts[m])
     if n:
-        dots = net.neurons[m, :n] @ s
+        row = net.neurons[m]
+        dots = np.dot(row[:n], s)
         winner = int(dots.argmax())
         if dots[winner] >= cfg.winner_threshold:
-            w = net.neurons[m, winner]
+            w = row[winner]
             target, rate = cfg.convergence_target, cfg.learning_rate
             for _ in range(cfg.max_update_iters):
-                if w @ s >= target:
+                if w.dot(s) >= target:
                     break
-                w = w + rate * (s - w)
-                w = w / math.sqrt(w.dot(w))  # bit for bit np.linalg.norm(w) of 1-D float64
-            net.neurons[m, winner] = w
+                step = s - w
+                step *= rate
+                w += step
+                w /= math.sqrt(w.dot(w))  # bit for bit np.linalg.norm(w) of 1-D float64
             return winner, False
     if n == net.neurons.shape[1]:
         net.neurons = np.pad(net.neurons, ((0, 0), (0, 1), (0, 0)))

@@ -358,6 +358,20 @@ class TestConfigFile:
             assert code == 3, value
             assert "lamstar.epochs" in err
 
+    def test_winner_threshold_above_one_exits_3_and_writes_no_model(self, capsys, synth_root,
+                                                                    tmp_path):
+        # No dot of two unit vectors passes 1 except by rounding: such a
+        # threshold grows a neuron from every subword and saves a model with
+        # no decision record, which eval then refuses.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("lamstar.winner_threshold = 1.5\n")
+        model = tmp_path / "m.lns"
+        code, _, err = run(capsys, "train", "--data", str(synth_root), "--out", str(model),
+                           "--train-per-class", "2", "--config", str(cfg))
+        assert code == 3
+        assert "lamstar.winner_threshold must be finite and <= 1, got 1.5" in err
+        assert not model.exists()
+
     def test_hash_inside_a_value_is_kept(self, capsys, synth_root, tmp_path):
         cache = tmp_path / "run#1" / "cache"
         cfg = tmp_path / "cfg.txt"

@@ -556,6 +556,14 @@ class TestFlatSettings:
         with pytest.raises(ConfigError, match=key):
             HarnessConfig().with_settings({key: value})
 
+    def test_winner_threshold_at_most_one(self):
+        for value in (1.0, 0.0, -2.0):
+            lam = HarnessConfig().with_settings({"lamstar.winner_threshold": value}).lamstar
+            assert lam.winner_threshold == value
+        for value in (math.nextafter(1.0, 2.0), 1.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="lamstar.winner_threshold must be finite and <= 1"):
+                HarnessConfig(lamstar=LamstarConfig(winner_threshold=value))
+
     def test_shift_range_bounded_by_half_the_ring(self):
         cfg = HarnessConfig().with_settings({"angular_res": "64", "shift_range": "32"})
         assert (cfg.angular_res, cfg.shift_range) == (64, 32)

@@ -28,6 +28,7 @@ from irislam.normalization import IrisTemplate, unwrap
 from irislam.synthdata import make_benchmark
 
 from fresh_interpreter import run_fresh
+from test_golden import LNS1_SHA256
 
 # sha256 over (class index, shift, score bytes) of every pinned probe in
 # TestClassify.test_outputs_pinned, recorded from the einsum winner search
@@ -223,6 +224,16 @@ class TestUnitColumns:
         assert runs[0] == runs[1]
 
 
+@pytest.fixture(scope="module")
+def seed11_templates():
+    """Ground-truth unwraps of make_benchmark(4, 3, 1, seed=11), the golden
+    eyes: (train templates, their labels, test templates)."""
+    train_eyes, test_eyes = make_benchmark(4, 3, 1, seed=11)
+    train_t = [unwrap(e.image, e.spec.localization) for e in train_eyes]
+    test_t = [unwrap(e.image, e.spec.localization) for e in test_eyes]
+    return train_t, [e.class_id for e in train_eyes], test_t
+
+
 class TestSomPresent:
     def test_first_pattern_creates_neuron(self):
         net = LamstarNetwork(1, 3, 1)
@@ -282,28 +293,46 @@ class TestSomPresent:
         np.testing.assert_allclose(net.neurons, w_before, atol=1e-12)
 
 
+def reference_step(modules: list[np.ndarray], m: int, s: np.ndarray,
+                   cfg: LamstarConfig) -> tuple[int | None, bool]:
+    """som_present in its earlier forms, on per-module arrays: dots by the
+    @ operator, a fresh array per pull step, np.linalg.norm, the pulled
+    neuron written back once, and a new neuron appended with np.vstack."""
+    if not s.any():
+        return None, False
+    if len(modules[m]):
+        dots = modules[m] @ s
+        winner = int(np.argmax(dots))
+        if dots[winner] >= cfg.winner_threshold:
+            w = modules[m][winner]
+            for _ in range(cfg.max_update_iters):
+                if w @ s >= cfg.convergence_target:
+                    break
+                w = w + cfg.learning_rate * (s - w)
+                w = w / np.linalg.norm(w)
+            modules[m][winner] = w
+            return winner, False
+    modules[m] = np.vstack([modules[m], s])
+    return len(modules[m]) - 1, True
+
+
 def reference_store(templates, cfg: LamstarConfig, num_modules: int) -> list[np.ndarray]:
-    """Independent per-module SOM phase: each module's neurons in their own
-    array, a new neuron appended with np.vstack."""
+    """Independent per-module SOM phase of reference_step."""
     modules = [np.empty((0, templates[0].radial_res)) for _ in range(num_modules)]
     for t in templates:
         for m, s in enumerate(subword_matrix(t.values)):
-            if not s.any():
-                continue
-            if len(modules[m]):
-                dots = modules[m] @ s
-                winner = int(np.argmax(dots))
-                if dots[winner] >= cfg.winner_threshold:
-                    w = modules[m][winner]
-                    for _ in range(cfg.max_update_iters):
-                        if w @ s >= cfg.convergence_target:
-                            break
-                        w = w + cfg.learning_rate * (s - w)
-                        w = w / np.linalg.norm(w)
-                    modules[m][winner] = w
-                    continue
-            modules[m] = np.vstack([modules[m], s])
+            reference_step(modules, m, s, cfg)
     return modules
+
+
+def subword_values(data, num_templates: int, dim: int, num_modules: int) -> np.ndarray:
+    """(num_templates, dim, num_modules) template values, with all-zero
+    columns in every template and, in others, a first entry of 0 or -0."""
+    values = data.draw(arrays(np.float64, (num_templates, dim, num_modules),
+                              elements=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, -0.3])))
+    values[:, 0, data.draw(arrays(bool, num_modules))] = data.draw(st.sampled_from([0.0, -0.0]))
+    values[..., data.draw(arrays(bool, num_modules))] = 0.0
+    return values
 
 
 class TestNeuronStore:
@@ -311,11 +340,8 @@ class TestNeuronStore:
     @given(st.data(), st.sampled_from([0.95, 0.5, -1.0]))
     def test_matches_per_module_reference(self, data, threshold):
         num_modules = data.draw(st.integers(1, 6))
-        dim = data.draw(st.integers(1, 4))
-        values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), dim, num_modules),
-                                  elements=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])))
-        # all-zero columns in every template leave those modules empty
-        values[..., data.draw(arrays(bool, num_modules))] = 0.0
+        dim = data.draw(st.integers(1, 20))
+        values = subword_values(data, data.draw(st.integers(1, 8)), dim, num_modules)
         templates = [IrisTemplate(v) for v in values]
         cfg = LamstarConfig(winner_threshold=threshold)
         net = LamstarNetwork(num_modules, dim, 1, cfg)
@@ -326,6 +352,27 @@ class TestNeuronStore:
         for m, neurons in enumerate(reference):
             assert net.neurons[m, : net.counts[m]].tobytes() == neurons.tobytes()
             assert not net.neurons[m, net.counts[m] :].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from([0.95, 0.5, -1.0]), st.sampled_from([1, 2, 100]),
+           st.sampled_from([0.9999, 0.99, 0.5, 1.0, 2.0]))
+    def test_each_step_matches_reference_step(self, data, threshold, iters, target):
+        # Each step of the in-place pull gives the bits of the earlier forms,
+        # whatever number of pulls it makes.
+        num_modules = data.draw(st.integers(1, 4))
+        dim = data.draw(st.integers(1, 20))
+        values = subword_values(data, data.draw(st.integers(1, 6)), dim, num_modules)
+        cfg = LamstarConfig(winner_threshold=threshold, max_update_iters=iters,
+                            convergence_target=target)
+        net = LamstarNetwork(num_modules, dim, 1, cfg)
+        reference = [np.empty((0, dim)) for _ in range(num_modules)]
+        for v in values:
+            for m, s in enumerate(subword_matrix(v)):
+                assert som_present(net, m, s) == reference_step(reference, m, s, cfg)
+                assert net.counts.tolist() == [len(r) for r in reference]
+                for k, neurons in enumerate(reference):
+                    assert net.neurons[k, : net.counts[k]].tobytes() == neurons.tobytes()
+                    assert not net.neurons[k, net.counts[k] :].any()
 
 
 def toy_templates():
@@ -476,6 +523,29 @@ class TestTrain:
             scores.append(np.array([x.scores for x in p]))
         assert preds[0] == preds[1]
         np.testing.assert_allclose(scores[1], scores[0] * (0.35 / 0.05), atol=1e-9)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_som_present_called_once_per_module_and_template(self, seed11_templates, monkeypatch,
+                                                             tmp_path, normalized):
+        # perfbench's trace-1 check wraps lamstar.som_present and compares its
+        # call count with templates x modules (ROADMAP item 1a), so train calls
+        # the step through the module binding, for each template once per
+        # module in module order; the golden LNS1 bytes stay as they are.
+        train_t, labels, _ = seed11_templates
+        modules = []
+        step = lamstar.som_present
+
+        def counted(net, m, s):
+            modules.append(m)
+            return step(net, m, s)
+
+        monkeypatch.setattr(lamstar, "som_present", counted)
+        net = LamstarNetwork(480, 20, 4, LamstarConfig(normalized=normalized))
+        train(net, train_t, labels)
+        assert modules == list(range(net.num_modules)) * len(train_t)
+        save_model(net, tmp_path / "model.lns")
+        digest = hashlib.sha256((tmp_path / "model.lns").read_bytes()).hexdigest()
+        assert digest == LNS1_SHA256[normalized]
 
     def test_memory_does_not_grow_with_the_templates(self):
         # Presenting 16 full-size templates 4 times grows the same neurons
@@ -744,13 +814,6 @@ class TestClassify:
         class_index, shift, scores = reference_classify(net, t, shift_range)
         assert (pred.class_index, pred.shift) == (class_index, shift)
         assert pred.scores.tobytes() == scores.tobytes()
-
-    @pytest.fixture(scope="class")
-    def seed11_templates(self):
-        train_eyes, test_eyes = make_benchmark(4, 3, 1, seed=11)
-        train_t = [unwrap(e.image, e.spec.localization) for e in train_eyes]
-        test_t = [unwrap(e.image, e.spec.localization) for e in test_eyes]
-        return train_t, [e.class_id for e in train_eyes], test_t
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_outputs_pinned(self, seed11_templates, normalized):
