@@ -225,8 +225,8 @@ def som_present(net: LamstarNetwork, m: int, s: np.ndarray) -> tuple[int | None,
     when the module has one neuron), and the pull's stop test reads
     w.dot(s), the ddot of w @ s. Which neuron wins at a tie or at the
     threshold, and how many pulls a winner gets, follow those dots' bits,
-    so the trained neurons, and the golden LNS1 digests, depend on BLAS
-    gemv and ddot.
+    so the trained neurons, and with them the golden LNS1 digests, can
+    depend on BLAS gemv and ddot.
     """
     if not (s[0] or s.any()):  # s[0] settles most subwords without a scan
         return None, False
