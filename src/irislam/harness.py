@@ -82,7 +82,7 @@ class HarnessConfig:
     cache_dir: str | None = None  # None: <dataset root>/.template_cache
 
     def __post_init__(self):
-        lam, loc = self.lamstar, self.localization
+        loc = self.localization
         # Each test is written so that NaN fails it.
         for key, ok, need in (
             ("train_per_class", self.train_per_class >= 1, ">= 1"),
@@ -91,16 +91,6 @@ class HarnessConfig:
             # A wider window only repeats shifts it has already searched.
             ("shift_range", 0 <= self.shift_range <= self.angular_res // 2,
              f"in [0, angular_res // 2 = {self.angular_res // 2}]"),
-            ("lamstar.epochs", lam.epochs >= 1, ">= 1"),
-            ("lamstar.max_update_iters", lam.max_update_iters >= 1, ">= 1"),
-            ("lamstar.delta", 0 < lam.delta < math.inf, "finite and > 0"),
-            ("lamstar.learning_rate", 0 < lam.learning_rate <= 1, "in (0, 1]"),
-            # No dot of two unit vectors passes 1 except by rounding, so a
-            # higher threshold makes a neuron of every subword and a model
-            # without a decision record, which load_model refuses.
-            ("lamstar.winner_threshold", -math.inf < lam.winner_threshold <= 1,
-             "finite and <= 1"),
-            ("lamstar.convergence_target", math.isfinite(lam.convergence_target), "finite"),
             ("localization.sigma", 0 < loc.sigma < math.inf, "finite and > 0"),
             ("localization.t_high", 0 < loc.t_high <= 1, "in (0, 1]"),
             ("localization.t_low", 0 < loc.t_low <= loc.t_high, "in (0, localization.t_high]"),
@@ -235,13 +225,18 @@ def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate
     return unwrap(img, loc, cfg.radial_res, cfg.angular_res, label=label)
 
 
-def _load_cached(path: Path) -> IrisTemplate | None:
+def _load_cached(path: Path, shape: tuple[int, int]) -> IrisTemplate | None:
     """The cached template at path, or None when there is no entry or the
-    entry is corrupt; a corrupt entry is then recomputed and overwritten."""
+    entry is corrupt or not of the given shape; such an entry is then
+    recomputed and overwritten."""
     if not path.is_file():
         return None
     try:
-        return load_template(path)
+        t = load_template(path)
+        if t.values.shape != shape:
+            raise FormatError(f"template {t.radial_res}x{t.angular_res}, "
+                              f"expected {shape[0]}x{shape[1]}")
+        return t
     except FormatError as exc:
         logger.warning("recomputing corrupt template-cache entry %s: %s", path, exc)
         return None
@@ -249,29 +244,21 @@ def _load_cached(path: Path) -> IrisTemplate | None:
 
 def _drop_replaced(entry: Path) -> None:
     """Delete the entries an image of the same name left under other image
-    hashes in entry's class directory, and any hash directory left empty.
-    Entries under other configuration digests stay valid for those. Safe
-    beside concurrent runs: whatever they already removed is skipped."""
+    hashes in entry's class directory. Only files are deleted: the hash
+    directories stay, so no run removes a directory that another is writing
+    into. Entries under other configuration digests stay valid for those.
+    Safe beside concurrent runs: whatever they already removed is skipped."""
     for hash_dir in entry.parent.parent.iterdir():
         stale = hash_dir / entry.name
         if hash_dir != entry.parent and stale.is_file():
             stale.unlink(missing_ok=True)
-            try:
-                hash_dir.rmdir()  # only succeeds once it is empty
-            except OSError:
-                pass
 
 
 def _write_entry(t: IrisTemplate, entry: Path) -> None:
     """Write the entry, making its directory; save_template replaces it only
     once complete, so a crash never leaves a partial entry."""
-    while True:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            save_template(t, entry)
-            return
-        except FileNotFoundError:
-            pass  # a concurrent run's _drop_replaced removed the directory just made
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    save_template(t, entry)
 
 
 def _worker_count() -> int:
@@ -316,7 +303,7 @@ def _templates_for(
             label = index.class_names[entry.class_id]
             image_hash = hashlib.sha256(entry.path.read_bytes()).hexdigest()[:16]
             cached = cache_dir / digest / label / image_hash / (entry.path.stem + ".irt")
-            t = _load_cached(cached)
+            t = _load_cached(cached, (cfg.radial_res, cfg.angular_res))
             if t is None:
                 # Read from the module per call, so wrappers of it see each miss.
                 t = pool.submit(compute_template, entry.path, label, cfg)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from irislam.errors import FormatError
+from irislam.errors import ConfigError, FormatError
 from irislam.files import replacing
 
 if TYPE_CHECKING:
@@ -43,6 +43,22 @@ class LamstarConfig:
     delta: float = 0.05  # reward/punishment increment
     normalized: bool = False  # divide link weights by reward counts when scoring
     epochs: int = 10
+
+    def __post_init__(self):
+        # Each test is written so that NaN fails it.
+        for name, ok, need in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("max_update_iters", self.max_update_iters >= 1, ">= 1"),
+            ("delta", 0 < self.delta < math.inf, "finite and > 0"),
+            ("learning_rate", 0 < self.learning_rate <= 1, "in (0, 1]"),
+            # No dot of two unit vectors passes 1 except by rounding, so a
+            # higher threshold makes a neuron of every subword and a model
+            # without a decision record.
+            ("winner_threshold", -math.inf < self.winner_threshold <= 1, "finite and <= 1"),
+            ("convergence_target", math.isfinite(self.convergence_target), "finite"),
+        ):
+            if not ok:
+                raise ConfigError(f"lamstar.{name} must be {need}, got {getattr(self, name)!r}")
 
 
 def subword_matrix(values: np.ndarray) -> np.ndarray:
@@ -412,12 +428,17 @@ def _record_slices(data: bytes, offset: int, n_records: int):
 def load_model(path: str | Path) -> LamstarNetwork:
     """Read an LNS1 model file back into an inference-ready network.
 
-    Every check runs before the network is built; the decision records
-    are checked, then scattered, one slice at a time straight from the
-    file's bytes. A file whose records do not name every class is refused,
-    one with no record included. Training writes no record only when no
-    neuron ever wins (a winner threshold that no subword reaches), and that
-    model would score every class 0.
+    LamstarConfig checks the header's settings as it checks a config
+    file's: a winner threshold of at most 1 and a finite delta above 0.
+    Every other check but one runs before the network is built: the
+    decision records are checked, then scattered, one slice at a time
+    straight from the file's bytes. A file whose records do not name every
+    class is refused, one with no record included. Training writes no
+    record only when no neuron ever wins, as when every training subword is
+    all zero, and that model would score every class 0. After the scatter,
+    the nonzero links must number as many as the records: save_model
+    writes each once and no other link, so a repeated or all-zero record
+    is refused.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -430,12 +451,10 @@ def load_model(path: str | Path) -> LamstarNetwork:
         num_modules, subword_dim, num_classes = int(parts[1]), int(parts[2]), int(parts[3])
         cfg = LamstarConfig(normalized=parts[4] == "1", delta=float(parts[5]),
                             winner_threshold=float(parts[6]))
-    except ValueError:
-        raise FormatError(f"non-numeric LNS1 header field: {data[:nl]!r}") from None
+    except (ValueError, ConfigError) as exc:  # a non-numeric or out-of-range field
+        raise FormatError(f"bad LNS1 header {data[:nl]!r}: {exc}") from None
     if min(num_modules, subword_dim, num_classes) < 1:
         raise FormatError(f"LNS1 header count below 1: {data[:nl]!r}")
-    if not (np.isfinite([cfg.winner_threshold, cfg.delta]).all() and cfg.delta > 0):
-        raise FormatError(f"LNS1 header needs finite threshold and delta > 0: {data[:nl]!r}")
     if 4 * num_modules > len(data) - nl - 1:  # each module needs its neuron count
         raise FormatError(f"LNS1 file truncated: too short for {num_modules} modules")
     counts = np.zeros(num_modules, dtype=np.int64)
@@ -496,4 +515,6 @@ def load_model(path: str | Path) -> LamstarNetwork:
         gids = dec.offsets[records["module"]] + records["neuron"]
         dec.weights[gids, records["cls"]] = records["weight"]
         dec.reward_counts[gids, records["cls"]] = records["rewards"]
+    if np.count_nonzero((dec.weights != 0) | (dec.reward_counts != 0)) != n_records:
+        raise FormatError("LNS1 decision record repeats a link or holds only zeros")
     return net

@@ -256,6 +256,19 @@ class TestTrainEvalCompare:
         assert "model expects 10x64 templates, config produces 20x480" in err
         assert not (data / ".template_cache").exists()
 
+    def test_model_with_threshold_above_one_exits_2_before_segmenting(self, capsys, synth_root,
+                                                                      tmp_path):
+        data, model = self.unsegmented_eval_inputs(synth_root, tmp_path)
+        raw = model.read_bytes()
+        header = raw[: raw.index(b"\n")]
+        assert header.endswith(b" 0.95")
+        model.write_bytes(header[:-4] + b"1.5" + raw[len(header) :])
+        code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data),
+                           "--train-per-class", "2")
+        assert code == 2
+        assert "lamstar.winner_threshold must be finite and <= 1, got 1.5" in err
+        assert not (data / ".template_cache").exists()
+
     def test_every_test_image_unlocalized_gives_undefined_accuracy(self, capsys, synth_root,
                                                                    tmp_path):
         data, model = self.unsegmented_eval_inputs(synth_root, tmp_path)

@@ -127,8 +127,11 @@ class TestRunTrain:
         entries = sorted((tmp_path / "cache").rglob("*.irt"))
         whole = entries[0].read_bytes()
         nan_value = whole[: whole.index(b"\n") + 1] + np.float64(np.nan).tobytes()
-        # cut as a crash mid-write would, or holding a NaN value
-        for corrupt in (whole[: len(whole) // 2], nan_value + whole[len(nan_value) :]):
+        assert whole.startswith(b"IRT1 20 480 ")
+        # cut as a crash mid-write would, holding a NaN value, or of another
+        # shape with the same number of values
+        for corrupt in (whole[: len(whole) // 2], nan_value + whole[len(nan_value) :],
+                        b"IRT1 40 240 " + whole[len(b"IRT1 20 480 ") :]):
             entries[0].write_bytes(corrupt)
             caplog.clear()
             with caplog.at_level("WARNING"):
@@ -147,6 +150,8 @@ class TestRunTrain:
         second = tmp_path / "second.lns"
         # another eye under the same name
         target, other = index.split("train")[0].path, index.split("train")[-1].path
+        class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
+        (old_hash_dir,) = (p.parent for p in class_cache.glob(f"*/{target.stem}.irt"))
         shutil.copyfile(other, target)
         computed = []
         compute_template = harness.compute_template
@@ -159,10 +164,9 @@ class TestRunTrain:
         run_train(index, cfg, second)
         assert computed == [target]
         assert second.read_bytes() != first.read_bytes()
-        # the old image's entry is gone, with its emptied hash directory
-        class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
+        # the old image's entry is gone; its hash directory stays, empty
         assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
-        assert all(any(d.iterdir()) for d in class_cache.iterdir())
+        assert old_hash_dir.is_dir() and not any(old_hash_dir.glob("*.irt"))
 
     def test_replaced_image_keeps_its_twins_hash_directory(self, small_dataset, tmp_path,
                                                            monkeypatch):
@@ -222,26 +226,19 @@ class TestRunTrain:
         class_cache = shared / cfg.template_digest() / target.parent.name
         assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 2
 
-    def test_entry_written_after_concurrent_prune(self, small_dataset, tmp_path, monkeypatch):
-        cfg = HarnessConfig(train_per_class=3, cache_dir=str(tmp_path / "cache"))
-        index = index_dataset(small_dataset, cfg.train_per_class)
-        entries = index.split("train")[:1]
-        save_template = harness.save_template
-        pruned = []
-
-        def prune_first(t, path):
-            # another run removes the hash directory, still empty, just made
-            if not pruned:
-                pruned.append(path.parent)
-                path.parent.rmdir()
-            save_template(t, path)
-
-        monkeypatch.setattr(harness, "save_template", prune_first)
-        templates, _, _ = harness._templates_for(entries, index, cfg)
-        assert pruned
-        written = list((tmp_path / "cache").rglob("*.irt"))
-        assert [p.parent for p in written] == pruned
-        assert harness._load_cached(written[0]).values.tobytes() == templates[0].values.tobytes()
+    def test_pruning_deletes_only_stale_entries(self, tmp_path):
+        class_dir = tmp_path / "class000"
+        fresh, stale, busy, other = (class_dir / h for h in ("aa", "bb", "cc", "dd"))
+        for d in (fresh, stale, busy, other):
+            d.mkdir(parents=True)
+        for path in (fresh / "img00.irt", stale / "img00.irt", busy / "img00.irt",
+                     busy / "img00.irt.0123abcd.partial", other / "img01.irt"):
+            path.write_bytes(b"x")
+        harness._drop_replaced(fresh / "img00.irt")
+        # a concurrent writer's temporary file and every directory stay
+        assert sorted(p.relative_to(class_dir).as_posix() for p in class_dir.rglob("*")) == [
+            "aa", "aa/img00.irt", "bb", "cc", "cc/img00.irt.0123abcd.partial",
+            "dd", "dd/img01.irt"]
 
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irislam import lamstar
-from irislam.errors import FormatError
+from irislam.errors import ConfigError, FormatError
 from irislam.lamstar import (
     DecisionLayer,
     LamstarConfig,
@@ -1159,3 +1159,21 @@ def test_each_import_loads_only_what_it_runs():
 def test_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 0, "lamstar.epochs must be >= 1, got 0"),
+    ("delta", 0.0, "lamstar.delta must be finite and > 0, got 0.0"),
+    ("delta", float("nan"), "lamstar.delta must be finite and > 0, got nan"),
+    ("learning_rate", float("nan"), "lamstar.learning_rate must be in (0, 1], got nan"),
+    ("learning_rate", 1.5, "lamstar.learning_rate must be in (0, 1], got 1.5"),
+    ("winner_threshold", float("nan"), "lamstar.winner_threshold must be finite and <= 1, got nan"),
+    ("winner_threshold", 1.5, "lamstar.winner_threshold must be finite and <= 1, got 1.5"),
+    ("convergence_target", float("inf"), "lamstar.convergence_target must be finite, got inf"),
+    ("max_update_iters", -1, "lamstar.max_update_iters must be >= 1, got -1"),
+])
+def test_config_range_errors(field, value, message):
+    # the messages a config file's out-of-range lamstar.* value exits 3 with
+    with pytest.raises(ConfigError) as exc:
+        LamstarConfig(**{field: value})
+    assert str(exc.value) == message

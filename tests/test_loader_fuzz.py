@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irislam.errors import FormatError
+from irislam.errors import ConfigError, FormatError
 from irislam.imaging import GrayImage, load_gray_image, save_gray_image
-from irislam.lamstar import LamstarConfig, LamstarNetwork, load_model, save_model, train
+from irislam.lamstar import (
+    _RECORD,
+    LamstarConfig,
+    LamstarNetwork,
+    load_model,
+    save_model,
+    train,
+)
 from irislam.normalization import IrisTemplate, load_template, save_template
 
 TOKENS = st.one_of(
@@ -129,14 +136,35 @@ def test_trained_model_without_its_records_rejected(files, tmp_path):
         load_model(tmp_path / "m.lns")
 
 
-def test_model_in_which_no_neuron_won_rejected(tmp_path):
-    # A winner threshold above every dot product of unit vectors: training
-    # grows neurons but links none, and the model would score every class 0.
-    t0 = IrisTemplate(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    t1 = IrisTemplate(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    net = LamstarNetwork(2, 2, 2, LamstarConfig(winner_threshold=2.0))
-    train(net, [t0, t1], [0, 1])
-    assert net.counts.tolist() == [2, 2] and not net.decision.reward_counts.any()
-    save_model(net, tmp_path / "m.lns")
-    with pytest.raises(FormatError, match="records only 0"):
+def test_winner_threshold_above_one_rejected(files, tmp_path):
+    # No dot of two unit vectors passes 1, so such a threshold would train a
+    # model without a decision record, or score every probe of a trained
+    # model 0 for every class. LamstarConfig refuses it for config files and
+    # LNS1 headers alike.
+    with pytest.raises(ConfigError, match="lamstar.winner_threshold must be finite and <= 1"):
+        LamstarConfig(winner_threshold=2.0)
+    data = (files / "m.lns").read_bytes()
+    header = data[: data.index(b"\n")]
+    assert header.endswith(b" 0.95")
+    (tmp_path / "m.lns").write_bytes(header[:-4] + b"1.5" + data[len(header) :])
+    with pytest.raises(FormatError, match="winner_threshold"):
         load_model(tmp_path / "m.lns")
+
+
+def test_repeated_or_all_zero_record_rejected(files, tmp_path):
+    # save_model writes each link with a nonzero weight or reward count once
+    data = (files / "m.lns").read_bytes()
+    n = int.from_bytes(data[-8:], "little")
+    start = len(data) - 8 - _RECORD.itemsize * n
+    first = np.frombuffer(data, dtype=_RECORD, count=1, offset=start).copy()
+    assert first["weight"][0] and first["rewards"][0]
+    repeated = first.copy()
+    repeated["weight"] = 123.0  # the same link again, with another weight
+    zeroed = first.copy()
+    zeroed["weight"], zeroed["rewards"] = 0.0, 0  # the first link, holding nothing
+    rest = data[start + _RECORD.itemsize : -8]
+    for bad in (data[:-8] + repeated.tobytes() + (n + 1).to_bytes(8, "little"),
+                data[:start] + zeroed.tobytes() + rest + n.to_bytes(8, "little")):
+        (tmp_path / "m.lns").write_bytes(bad)
+        with pytest.raises(FormatError, match="repeats a link or holds only zeros"):
+            load_model(tmp_path / "m.lns")
