@@ -20,13 +20,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage
 
 from irislam.errors import FormatError
 from irislam.files import replacing
+from irislam.imaging import GrayImage, sample_bilinear
 
 if TYPE_CHECKING:
-    from irislam.imaging import GrayImage
     from irislam.segmentation import IrisLocalization
 
 
@@ -82,7 +81,7 @@ def unwrap(
     Column j uses the ray at angle 2*pi*j/angular_res; row i samples the
     pupil-to-iris segment at fraction (i + 0.5)/radial_res, so neither
     boundary pixel itself enters the template. Intensities are read by
-    bilinear interpolation with out-of-image coordinates clamped. Raises
+    bilinear interpolation with edges clamped (sample_bilinear). Raises
     ValueError for a pupil center outside the image or an iris radius
     above its rounded diagonal, the largest circular_hough can return.
     """
@@ -104,8 +103,7 @@ def unwrap(
     radii = loc.pupil.r + fractions[:, None] * (r_prime - loc.pupil.r)[None, :]
     xs = loc.pupil.cx + radii * ux[None, :]
     ys = loc.pupil.cy + radii * uy[None, :]
-    values = ndimage.map_coordinates(img.pixels, [ys, xs], order=1, mode="nearest")
-    return IrisTemplate(values=values, label=label)
+    return IrisTemplate(values=sample_bilinear(img.pixels, ys, xs), label=label)
 
 
 def rotate_template(t: IrisTemplate, shift: int) -> IrisTemplate:

@@ -1,26 +1,30 @@
-"""Pupil and limbic boundary localization.
+"""Pupil and limbic boundary localization, on numpy alone.
 
 Canny-style edge extraction (non-maximum suppression + hysteresis at the
-0.2/0.19 thresholds) followed by a circular Hough transform. The outer
+0.2/0.19 thresholds) followed by a circular Hough transform. Non-maximum
+suppression samples through imaging.sample_bilinear, and hysteresis joins
+8-connected candidates by root hooking; both give the edge maps that
+scipy.ndimage's map_coordinates and label gave, bit for bit. The outer
 boundary is searched on a gradient with its horizontal derivative scaled
 down (by default to 0, which keeps horizontal eyelid edges and drops most
 of the limbus's vertical flanks), then the pupil near the found iris center.
 
 The Hough is a best-first search over radius bands at cell sizes 4, 2 and
 1 (_LEVELS), all counted by one single-precision FFT ring correlation
-(_ring_votes). The FFT levels stop at cell size 2 unless a band leaves
-many cells: each band there is followed by exact counts, gathered from
-the edge mask (_ring_gather), of only the centers whose cell-2 count
-reaches the best so far. Each FFT axis is padded only as far as circular
-wrap-around could reach the cells that are read, so a crop that already
-reaches r_max beyond the center box is padded only up to the next fast
-FFT size. A ring's spectrum depends on no image, so each is made once and
-kept, as a real quarter-spectrum, in a cache shared by all calls and
-threads and capped in bytes (_RingSpectra). Every FFT count is an integer
-read through rint; the float32 round-trip error bound is about 0.05 at
-cell size 4 and 0.03 for two-radius rings at cell size 1 on an all-ones
-280x320 map, far below the 0.5 margin, so votes, circles and tie-breaks
-equal those of double precision.
+(_ring_votes, on numpy.fft). The FFT levels stop at cell size 2 unless
+a band leaves many cells: each band there is followed by exact counts,
+gathered from the edge mask (_ring_gather), of only the centers whose
+cell-2 count reaches the best so far. Each FFT axis is padded only as
+far as circular wrap-around could reach the cells that are read, so a
+crop that already reaches r_max beyond the center box is padded only up
+to the next fast FFT size. A ring's spectrum depends on no image, so
+each is made once and kept, as a real quarter-spectrum, in a cache
+shared by all calls and threads and capped in bytes (_RingSpectra).
+Every FFT count is an integer read through rint; the float32 round-trip
+error bound is about 0.05 at cell size 4 and 0.03 for two-radius rings
+at cell size 1 on an all-ones 280x320 map, far below the 0.5 margin, so
+votes, circles and tie-breaks equal those of double precision, whichever
+FFT library computes them.
 """
 
 from __future__ import annotations
@@ -32,19 +36,17 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import ndimage
 
-from irislam.errors import LocalizationError
+from irislam.errors import ConfigError, LocalizationError
 from irislam.imaging import (
     GradientField,
     GrayImage,
     compute_gradient,
     gaussian_smooth,
+    sample_bilinear,
     weight_vertical_gradient,
 )
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # (cell size, radii per band) of the Hough's radius-band search, coarse to
 # exact; each level's cell size and band width divide the level's above.
 _LEVELS = ((4, 4), (2, 2), (1, 2), (1, 1))
@@ -152,6 +154,22 @@ class LocalizationConfig:
     pupil_r_max: int = 75
     pupil_center_slack: int = 30
 
+    def __post_init__(self):
+        # Each test is written so that NaN fails it.
+        for name, ok, need in (
+            ("sigma", 0 < self.sigma < math.inf, "finite and > 0"),
+            ("t_high", 0 < self.t_high <= 1, "in (0, 1]"),
+            ("t_low", 0 < self.t_low <= self.t_high, "in (0, localization.t_high]"),
+            ("horizontal_weight", 0 <= self.horizontal_weight <= 1, "in [0, 1]"),
+            ("iris_r_min", 0 < self.iris_r_min < self.iris_r_max,
+             "in (0, localization.iris_r_max)"),
+            ("pupil_r_min", 0 < self.pupil_r_min < self.pupil_r_max,
+             "in (0, localization.pupil_r_max)"),
+            ("pupil_center_slack", self.pupil_center_slack >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"localization.{name} must be {need}, got {getattr(self, name)!r}")
+
 
 def non_max_suppression(field: GradientField, floor: float = 0.0) -> np.ndarray:
     """Thin edges to local maxima along the gradient direction; returns
@@ -180,8 +198,8 @@ def non_max_suppression(field: GradientField, floor: float = 0.0) -> np.ndarray:
     dy /= s
     del s
     m = mag[ys, xs]
-    keep = m >= ndimage.map_coordinates(mag, [ys + dy, xs + dx], order=1, mode="nearest")
-    keep &= m >= ndimage.map_coordinates(mag, [ys - dy, xs - dx], order=1, mode="nearest")
+    keep = m >= sample_bilinear(mag, ys + dy, xs + dx)
+    keep &= m >= sample_bilinear(mag, ys - dy, xs - dx)
     del dx, dy
     out = np.zeros_like(mag)
     out[ys[keep], xs[keep]] = m[keep]
@@ -196,11 +214,44 @@ def hysteresis_threshold(magnitude: np.ndarray, t_high: float, t_low: float) -> 
     """
     if not (0 < t_low <= t_high <= 1):
         raise ValueError(f"need 0 < t_low <= t_high <= 1, got t_low={t_low}, t_high={t_high}")
-    labels, count = ndimage.label(magnitude >= t_low, structure=_EIGHT_CONNECTED)
-    seeded = np.zeros(count + 1, dtype=bool)  # per label: holds a seed
-    seeded[labels[magnitude >= t_high]] = True
-    seeded[0] = False  # background
-    return EdgeMap(seeded[labels])
+    h, w = magnitude.shape
+    pos = np.flatnonzero(magnitude >= t_low)  # candidates in row-major order
+    # The candidates' cells in a grid with a blank column on each side and a
+    # blank row below, so that every neighbour read below lands inside it.
+    stride = w + 2
+    cells = pos + 2 * (pos // w) + 1
+    grid = np.zeros((h + 1) * stride, dtype=bool)
+    grid[cells] = True
+    # Each candidate's links to its right, lower-left, lower and lower-right
+    # candidates: every 8-connected pair once.
+    near, far = [], []
+    for step in (1, stride - 1, stride, stride + 1):
+        linked = np.flatnonzero(grid[cells + step])
+        near.append(linked)
+        far.append(np.searchsorted(cells, cells[linked] + step))
+    near, far = np.concatenate(near), np.concatenate(far)
+    # Union by root hooking: each round hooks the larger root of every link
+    # whose ends still have different roots onto the smallest root linked
+    # to it, then points every candidate straight at its root. A parent is
+    # never above its candidate, so no cycle forms.
+    parent = np.arange(pos.size)
+    while near.size:
+        a, b = parent[near], parent[far]
+        apart = a != b
+        near, far, a, b = near[apart], far[apart], a[apart], b[apart]
+        if not near.size:
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    seeded = np.zeros(pos.size, dtype=bool)  # per root: its component holds a seed
+    seeded[parent[magnitude.ravel()[pos] >= t_high]] = True
+    edges = np.zeros((h, w), dtype=bool)
+    edges.ravel()[pos[seeded[parent]]] = True
+    return EdgeMap(edges)
 
 
 def _distance_table(r_max: int) -> np.ndarray:
@@ -212,6 +263,20 @@ def _distance_table(r_max: int) -> np.ndarray:
     q2 = np.arange(max(block * (-(-r_max // block) + 1) for block, _ in _LEVELS),
                    dtype=np.float64) ** 2
     return np.rint(np.sqrt(q2[:, None] + q2)).astype(np.int32)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, n >= 1: the transform size
+    scipy.fft.next_fast_len picks for complex transforms, which the ring
+    counter's sizes have always been."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max: int,
@@ -270,11 +335,15 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     # 1 for two-radius rings and 0.02 for one radius (measured: at most 2e-3),
     # and about 1e-3 for real eyes, far below the 0.5 rint margin, so every
     # vote is the exact integer correlation, as in double precision.
+    # Every transform is orthonormal: for its default forward scale, the
+    # integer 1, numpy 2.4 takes single-precision transforms through a loop
+    # two to four times slower. A ring's spectrum is kept times sqrt(N), so
+    # the inverse of its product with the cells' is the plain correlation.
     first = ((y0 + py) // block, (x0 + px) // block)
     last = ((y1 + py) // block, (x1 + px) // block)
-    padded = tuple(sp_fft.next_fast_len(max(n + R - w0, w1 + R + 1, 2 * R + 1))
+    padded = tuple(_next_fast_len(max(n + R - w0, w1 + R + 1, 2 * R + 1))
                    for n, w0, w1 in zip((ch, cw), first, last))
-    cells_fft = sp_fft.rfft2(cells, s=padded)
+    cells_fft = np.fft.rfft2(cells, s=padded, norm="ortho")
     del cells
     window = tuple(slice(w0, w1 + 1) for w0, w1 in zip(first, last))
     n0 = padded[0]
@@ -287,7 +356,7 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
         ring = np.zeros(padded, dtype=np.float32)
         offsets = np.arange(-R, R + 1)
         ring[np.ix_(offsets % n0, offsets % padded[1])] = (nearest <= hi) & (farthest >= lo)
-        return np.ascontiguousarray(sp_fft.rfft2(ring)[:m].real)
+        return np.fft.rfft2(ring, norm="ortho")[:m].real * math.sqrt(n0 * padded[1])
 
     def votes(lo: int, hi: int) -> np.ndarray:
         # Rings reach no further than hi, so within the padded shape a ring
@@ -296,9 +365,13 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
         spec = np.empty_like(cells_fft)
         np.multiply(cells_fft[:m], half, out=spec[:m])
         np.multiply(cells_fft[m:], half[n0 - m : 0 : -1], out=spec[m:])
-        conv = sp_fft.irfft2(spec, s=padded, overwrite_x=True)
+        # Only the window's rows are read, so only they are transformed back
+        # along axis 1, each row exactly as irfft2 would transform it.
+        rows = np.fft.ifft(spec, axis=0, norm="ortho")[window[0]]
         del spec
-        return np.rint(conv[window]).astype(np.int64)
+        conv = np.fft.irfft(rows, n=padded[1], axis=1, norm="ortho")
+        del rows
+        return np.rint(conv[:, window[1]]).astype(np.int64)
 
     return votes
 

@@ -508,23 +508,30 @@ _FIELD_VALUES = {
 }
 
 
-def _configs(cls, **nested):
+def _fields(cls):
     kinds = get_type_hints(cls)
-    return st.builds(cls, **{name: _FIELD_VALUES[kinds[name]]
-                             for name in kinds if kinds[name] in _FIELD_VALUES} | nested)
+    return {name: _FIELD_VALUES[kinds[name]] for name in kinds if kinds[name] in _FIELD_VALUES}
 
 
-def _ordered(loc: LocalizationConfig) -> LocalizationConfig:
-    """t_low <= t_high, iris_r_min < iris_r_max and pupil_r_min < pupil_r_max."""
+def _configs(cls, **nested):
+    return st.builds(cls, **_fields(cls) | nested)
+
+
+def _ordered(fields: dict) -> LocalizationConfig:
+    """The drawn fields with t_low <= t_high, iris_r_min < iris_r_max and
+    pupil_r_min < pupil_r_max; LocalizationConfig refuses any other."""
     (t_low, t_high), (i0, i1), (p0, p1) = (
-        sorted(pair) for pair in ((loc.t_low, loc.t_high), (loc.iris_r_min, loc.iris_r_max),
-                                  (loc.pupil_r_min, loc.pupil_r_max)))
-    return replace(loc, t_low=t_low, t_high=t_high, iris_r_min=i0, iris_r_max=i1 + 1,
-                   pupil_r_min=p0, pupil_r_max=p1 + 1)
+        sorted(pair) for pair in ((fields["t_low"], fields["t_high"]),
+                                  (fields["iris_r_min"], fields["iris_r_max"]),
+                                  (fields["pupil_r_min"], fields["pupil_r_max"])))
+    return LocalizationConfig(**fields | dict(t_low=t_low, t_high=t_high, iris_r_min=i0,
+                                              iris_r_max=i1 + 1, pupil_r_min=p0,
+                                              pupil_r_max=p1 + 1))
 
 
 class TestFlatSettings:
-    @given(_configs(HarnessConfig, localization=_configs(LocalizationConfig).map(_ordered),
+    @given(_configs(HarnessConfig,
+                    localization=st.fixed_dictionaries(_fields(LocalizationConfig)).map(_ordered),
                     lamstar=_configs(LamstarConfig), cache_dir=st.none() | st.text(),
                     shift_range=st.integers(0, 2)))
     @example(HarnessConfig())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from irislam.errors import FormatError
 from irislam.imaging import (
@@ -13,9 +14,14 @@ from irislam.imaging import (
     compute_gradient,
     gaussian_smooth,
     load_gray_image,
+    sample_bilinear,
     save_gray_image,
     weight_vertical_gradient,
 )
+
+# Shapes for the bit-for-bit checks against scipy.ndimage: an eye, and
+# images narrower or shorter than a kernel's radius.
+_ORACLE_SHAPES = [(280, 320), (40, 33), (3, 3), (1, 5), (7, 2), (2, 1), (300, 7)]
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -200,6 +206,15 @@ class TestGaussianSmooth:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+    @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.3, 2.0, 3.1])
+    def test_bits_equal_scipy_gaussian_filter(self, shape, sigma):
+        pixels = np.random.default_rng(sum(shape)).random(shape)
+        expected = ndimage.gaussian_filter(pixels, sigma, radius=ceil(3.0 * sigma), mode="nearest")
+        out = gaussian_smooth(GrayImage(pixels), sigma).pixels
+        assert out.tobytes() == np.clip(expected, 0.0, 1.0).tobytes()
+
+
 class TestComputeGradient:
     def test_constant_zero_magnitude(self):
         field = compute_gradient(GrayImage(np.full((6, 6), 0.3)))
@@ -241,6 +256,42 @@ class TestComputeGradient:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             compute_gradient(GrayImage(np.zeros((2, 5))))
+
+    @pytest.mark.parametrize("shape", [sh for sh in _ORACLE_SHAPES if min(sh) >= 3])
+    def test_bits_equal_scipy_sobel(self, shape):
+        pixels = np.random.default_rng(sum(shape)).random(shape)
+        field = compute_gradient(GrayImage(pixels))
+        gx = ndimage.sobel(pixels, axis=1, mode="nearest")
+        gy = ndimage.sobel(pixels, axis=0, mode="nearest")
+        assert np.ascontiguousarray(field.gx).tobytes() == gx.tobytes()
+        assert np.ascontiguousarray(field.gy).tobytes() == gy.tobytes()
+        magnitude = np.hypot(gx, gy)
+        assert field.magnitude.tobytes() == (magnitude / magnitude.max()).tobytes()
+
+
+class TestSampleBilinear:
+    @pytest.mark.parametrize("shape", [(28, 32), (280, 320), (1, 1), (3, 1), (1, 4)])
+    def test_bits_equal_scipy_map_coordinates(self, shape):
+        # Sub-pixel points inside and outside the image, whole-pixel points,
+        # points a hair above a whole pixel (where 1 - (1 - t) is not t) and
+        # points far off the image, as order-1 "nearest" sampling reads them.
+        h, w = shape
+        rng = np.random.default_rng(h * w)
+        ys, xs = rng.uniform(-5, h + 5, 20_000), rng.uniform(-5, w + 5, 20_000)
+        ys[:1000] = rng.integers(-3, h + 3, 1000)
+        xs[1000:2000] = rng.integers(-3, w + 3, 1000) + 1e-12
+        ys[2000:3000] = rng.integers(0, h, 1000) + rng.random(1000) * 1e-9
+        xs[3000:4000] = -1e-13
+        ys[4000:5000] = rng.uniform(-1e4, 1e4, 1000)
+        for pixels in (rng.random(shape), np.full(shape, -0.0)):
+            expected = ndimage.map_coordinates(pixels, [ys, xs], order=1, mode="nearest")
+            assert sample_bilinear(pixels, ys, xs).tobytes() == expected.tobytes()
+
+    def test_keeps_the_points_shape(self):
+        pixels = np.arange(12.0).reshape(3, 4)
+        ys, xs = np.meshgrid(np.arange(3.0), np.arange(4.0), indexing="ij")
+        np.testing.assert_array_equal(sample_bilinear(pixels, ys, xs), pixels)
+        assert sample_bilinear(pixels, ys[:1] + 0.5, xs[:1]).shape == (1, 4)
 
 
 class TestWeightVerticalGradient:

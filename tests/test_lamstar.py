@@ -649,9 +649,10 @@ class TestClassify:
         assert pred.scores.dtype == np.float64
         np.testing.assert_array_equal(pred.scores, np.zeros(2))
 
-    def test_scipy_sparse_loaded_by_classify_only(self, tmp_path):
-        # Commands that never classify do not load scipy.sparse; in a fresh
-        # interpreter the first classify loads it and scores as here.
+    def test_scipy_sparse_loaded_by_harness_or_classify(self, tmp_path):
+        # The network and the image stages do not load scipy.sparse; in a
+        # fresh interpreter the first classify loads it and scores as here.
+        # The harness loads it on import, so that no timed run pays for it.
         net, _, _ = self.trained_net()
         save_model(net, tmp_path / "m.lns")
         probe = np.random.default_rng(21).random((4, 12))
@@ -659,10 +660,10 @@ class TestClassify:
         script = textwrap.dedent("""
             import sys
             import numpy as np
-            import irislam.cli, irislam.harness
-            before = "scipy.sparse" in sys.modules
+            import irislam.segmentation, irislam.synthdata
             from irislam.lamstar import classify, load_model
             from irislam.normalization import IrisTemplate
+            before = "scipy.sparse" in sys.modules
             pred = classify(load_model(sys.argv[1]), IrisTemplate(np.load(sys.argv[2])), 3)
             print(before, "scipy.sparse" in sys.modules, pred.class_index, pred.shift,
                   pred.scores.tobytes().hex())
@@ -671,6 +672,8 @@ class TestClassify:
         pred = classify(load_model(tmp_path / "m.lns"), IrisTemplate(probe), 3)
         assert out.split() == ["False", "True", str(pred.class_index), str(pred.shift),
                                pred.scores.tobytes().hex()]
+        harness = run_fresh("import sys, irislam.harness; print('scipy.sparse' in sys.modules)")
+        assert harness.split() == ["True"]
 
     def test_shift_search_recovers_rotated_template(self):
         rng = np.random.default_rng(8)
@@ -1129,19 +1132,29 @@ class TestModelFile:
 
 def test_each_import_loads_only_what_it_runs():
     # The package root loads no stage, the network no image code, and the
-    # rubber sheet neither the Hough nor the edge stages.
+    # rubber sheet not the Hough. No stage loads scipy. The harness loads
+    # scipy.sparse for classify, and none of the scipy subpackages the
+    # image chain once used.
     script = textwrap.dedent("""
         import json, sys
         loaded = []
-        for name in ("irislam", "irislam.lamstar", "irislam.normalization"):
+        for name in sys.argv[1:]:
             __import__(name)
             loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in ("irislam", "scipy")))
         print(json.dumps(loaded))
     """)
-    root, network, rubber_sheet = json.loads(run_fresh(script))
+    stages = ("irislam.lamstar", "irislam.normalization", "irislam.imaging",
+              "irislam.segmentation", "irislam.synthdata")
+    root, network, rubber_sheet, *_, every_stage, harness = json.loads(
+        run_fresh(script, "irislam", *stages, "irislam.harness"))
     assert root == ["irislam"]
     assert network == ["irislam", "irislam.errors", "irislam.files", "irislam.lamstar"]
-    assert not {"scipy.fft", "irislam.imaging", "irislam.segmentation"} & set(rubber_sheet)
+    assert "irislam.segmentation" not in rubber_sheet
+    assert set(stages) <= set(every_stage)
+    assert [m for m in every_stage if m.startswith("scipy")] == []
+    assert "scipy.sparse" in harness
+    assert [m for m in harness
+            if m.split(".")[:2] in (["scipy", "ndimage"], ["scipy", "fft"], ["scipy", "special"])] == []
 
 
 @pytest.mark.parametrize("call, message", [

@@ -12,7 +12,7 @@ from scipy import fft as sp_fft
 from scipy import ndimage
 
 from irislam import segmentation
-from irislam.errors import LocalizationError
+from irislam.errors import ConfigError, LocalizationError
 from irislam.imaging import (
     GradientField,
     GrayImage,
@@ -27,6 +27,7 @@ from irislam.segmentation import (
     LocalizationConfig,
     _LEVELS,
     _distance_table,
+    _next_fast_len,
     _ring_gather,
     _ring_votes,
     circular_hough,
@@ -386,6 +387,23 @@ class TestHysteresisThreshold:
             hysteresis_threshold(mag, 0.19, 0.2)
         with pytest.raises(ValueError):
             hysteresis_threshold(mag, 0.2, 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_label_on_dense_maps(self, seed):
+        # scipy.ndimage.label with 8-connectivity is the oracle, on maps
+        # dense enough that candidates form long, branching components.
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            mag = rng.random(tuple(rng.integers(1, 60, 2))) ** rng.uniform(0.3, 3.0)
+            t_low = rng.uniform(0.05, 0.9)
+            t_high = rng.uniform(t_low, 1.0)
+            labels, count = ndimage.label(mag >= t_low, structure=np.ones((3, 3), dtype=bool))
+            seeded = np.zeros(count + 1, dtype=bool)
+            seeded[labels[mag >= t_high]] = True
+            seeded[0] = False
+            out = hysteresis_threshold(mag, t_high, t_low).edges
+            assert out.dtype == bool
+            np.testing.assert_array_equal(out, seeded[labels])
 
 
 class TestCircularHough:
@@ -812,8 +830,10 @@ class TestLocalizeIris:
         # the weighting, the peak is 3.51 MiB), the gradient's gx once the
         # weighted field exists (kept through the limbic edge stage, 4.00
         # MiB), and the weighted field once the limbic map exists (kept
-        # through the Hough passes, 4.75 MiB). The ceiling leaves 1.69 MiB
-        # (51%) for other numpy and scipy versions.
+        # through the Hough passes, 4.75 MiB). On numpy alone the peak is
+        # 3.36 MiB, in non-maximum suppression, whose bilinear sampler takes
+        # its points a block at a time (all at once, 4.26 MiB). The ceiling
+        # leaves 1.64 MiB (49%) for other numpy versions.
         eye = make_benchmark(1, 1, 1, seed=5)[0][0]
         localize_iris(eye.image)  # first-call set-up is not per image
         tracemalloc.start()
@@ -869,6 +889,29 @@ class TestLocalizeIris:
         ox, oy = loc.offset
         assert loc.pupil.r < loc.iris.r
         assert math.hypot(ox, oy) + loc.pupil.r < loc.iris.r
+
+
+def test_next_fast_len_is_scipys():
+    assert [_next_fast_len(n) for n in range(1, 3000)] == [
+        sp_fft.next_fast_len(n) for n in range(1, 3000)]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", 0.0, "localization.sigma must be finite and > 0, got 0.0"),
+    ("sigma", math.inf, "localization.sigma must be finite and > 0, got inf"),
+    ("t_high", 1.5, "localization.t_high must be in (0, 1], got 1.5"),
+    ("t_low", 0.3, "localization.t_low must be in (0, localization.t_high], got 0.3"),
+    ("t_low", math.nan, "localization.t_low must be in (0, localization.t_high], got nan"),
+    ("horizontal_weight", -0.5, "localization.horizontal_weight must be in [0, 1], got -0.5"),
+    ("iris_r_min", 150, "localization.iris_r_min must be in (0, localization.iris_r_max), got 150"),
+    ("pupil_r_min", 0, "localization.pupil_r_min must be in (0, localization.pupil_r_max), got 0"),
+    ("pupil_center_slack", -1, "localization.pupil_center_slack must be >= 0, got -1"),
+])
+def test_config_range_errors(field, value, message):
+    # the messages a config file's out-of-range localization.* value exits 3 with
+    with pytest.raises(ConfigError) as exc:
+        LocalizationConfig(**{field: value})
+    assert str(exc.value) == message
 
 
 class TestGeometryTypes:
