@@ -266,9 +266,9 @@ def _distance_table(r_max: int) -> np.ndarray:
 
 
 def _next_fast_len(n: int) -> int:
-    """The smallest 11-smooth integer >= n, n >= 1: the transform size
-    scipy.fft.next_fast_len picks for complex transforms, which the ring
-    counter's sizes have always been."""
+    """The smallest 11-smooth integer >= n, n >= 1: the size that
+    scipy.fft.next_fast_len picks for complex transforms, so the padded
+    shapes, and with them the ring-spectrum cache keys, are as before."""
     while True:
         m = n
         for p in (2, 3, 5, 7, 11):
@@ -338,7 +338,8 @@ def _ring_votes(e: np.ndarray, box: tuple[int, int, int, int], block: int, r_max
     # Every transform is orthonormal: for its default forward scale, the
     # integer 1, numpy 2.4 takes single-precision transforms through a loop
     # two to four times slower. A ring's spectrum is kept times sqrt(N), so
-    # the inverse of its product with the cells' is the plain correlation.
+    # the inverse of its product with the cells' is the plain correlation;
+    # the scalings add a few float32 roundings, far inside the bound above.
     first = ((y0 + py) // block, (x0 + px) // block)
     last = ((y1 + py) // block, (x1 + px) // block)
     padded = tuple(_next_fast_len(max(n + R - w0, w1 + R + 1, 2 * R + 1))
