@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--shift-range", type=int, dest="shift_range")
     p.add_argument("--train-per-class", type=int, dest="train_per_class")
-    p.add_argument("--report", help="report file prefix (writes .txt and .kv)")
+    p.add_argument("--report", help="report file prefix (writes <prefix>.txt and <prefix>.kv)")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_eval)
 

@@ -3,10 +3,11 @@
 Dataset layout: <root>/<class_name>/<image>.pgm. Per class the first
 train_per_class files in lexicographic order are the training split and
 the remainder the test split; classes without a test remainder are
-skipped. Templates are cached on disk keyed by a digest of the
-segmentation/normalization configuration and a hash of the image bytes,
-so retraining or evaluating the second classifier variant never
-recomputes them, and a replaced image never gets its old template.
+skipped. Templates are cached on disk, one entry per image name under a
+digest of the segmentation/normalization configuration, labelled with a
+hash of the image bytes: retraining or evaluating the second classifier
+variant never recomputes them, and a replaced image never gets its old
+template.
 """
 
 from __future__ import annotations
@@ -221,10 +222,11 @@ def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate
     return unwrap(img, loc, cfg.radial_res, cfg.angular_res, label=label)
 
 
-def _load_cached(path: Path, shape: tuple[int, int]) -> IrisTemplate | None:
-    """The cached template at path, or None when there is no entry or the
-    entry is corrupt or not of the given shape; such an entry is then
-    recomputed and overwritten."""
+def _load_cached(path: Path, shape: tuple[int, int], image_hash: str) -> IrisTemplate | None:
+    """The cached template at path, or None when there is no entry, the
+    entry is corrupt or not of the given shape (logged), or its label is
+    not image_hash, so that it holds an image since replaced under its
+    name. Such an entry is then recomputed and overwritten."""
     if not path.is_file():
         return None
     try:
@@ -232,22 +234,10 @@ def _load_cached(path: Path, shape: tuple[int, int]) -> IrisTemplate | None:
         if t.values.shape != shape:
             raise FormatError(f"template {t.radial_res}x{t.angular_res}, "
                               f"expected {shape[0]}x{shape[1]}")
-        return t
     except FormatError as exc:
         logger.warning("recomputing corrupt template-cache entry %s: %s", path, exc)
         return None
-
-
-def _drop_replaced(entry: Path) -> None:
-    """Delete the entries an image of the same name left under other image
-    hashes in entry's class directory. Only files are deleted: the hash
-    directories stay, so no run removes a directory that another is writing
-    into. Entries under other configuration digests stay valid for those.
-    Safe beside concurrent runs: whatever they already removed is skipped."""
-    for hash_dir in entry.parent.parent.iterdir():
-        stale = hash_dir / entry.name
-        if hash_dir != entry.parent and stale.is_file():
-            stale.unlink(missing_ok=True)
+    return t if t.label == image_hash else None
 
 
 def _write_entry(t: IrisTemplate, entry: Path) -> None:
@@ -272,7 +262,11 @@ def _templates_for(
 ) -> tuple[list[IrisTemplate], list[int], list[DatasetEntry]]:
     """Templates (cached in cfg.cache_dir, by default <dataset root>/.template_cache)
     for the given entries; localization failures are logged and excluded.
-    Returns (templates, labels, failed_entries).
+    Returns (templates, labels, failed_entries); each template's own label
+    is its image hash.
+
+    Each image name has one entry, <digest>/<class>/<stem>.irt, labelled
+    with the image's hash; an entry of another hash is overwritten.
 
     Cache misses are computed on a thread pool with one worker per CPU
     (segmentation spends its time in native code that releases the GIL).
@@ -281,11 +275,6 @@ def _templates_for(
     and logged, so an error raised for one image comes after the entries
     before it are written, and any work not yet started is cancelled."""
     digest = cfg.template_digest()
-    # The default cache under the dataset root holds this dataset alone, so a
-    # same-named entry under another image hash is that of a replaced image.
-    # A configured cache_dir may be shared by datasets whose images have the
-    # same class and file names; their entries coexist under their hashes.
-    prune = not cfg.cache_dir
     cache_dir = Path(cfg.cache_dir or index.root / ".template_cache")
     templates: list[IrisTemplate] = []
     labels: list[int] = []
@@ -296,13 +285,13 @@ def _templates_for(
         # the future computing it.
         pending: list[tuple[DatasetEntry, Path, IrisTemplate | Future]] = []
         for entry in entries:
-            label = index.class_names[entry.class_id]
+            class_name = index.class_names[entry.class_id]
             image_hash = hashlib.sha256(entry.path.read_bytes()).hexdigest()[:16]
-            cached = cache_dir / digest / label / image_hash / (entry.path.stem + ".irt")
-            t = _load_cached(cached, (cfg.radial_res, cfg.angular_res))
+            cached = cache_dir / digest / class_name / (entry.path.stem + ".irt")
+            t = _load_cached(cached, (cfg.radial_res, cfg.angular_res), image_hash)
             if t is None:
                 # Read from the module per call, so wrappers of it see each miss.
-                t = pool.submit(compute_template, entry.path, label, cfg)
+                t = pool.submit(compute_template, entry.path, image_hash, cfg)
             pending.append((entry, cached, t))
         for entry, cached, t in pending:
             if isinstance(t, Future):
@@ -313,8 +302,6 @@ def _templates_for(
                     failed.append(entry)
                     continue
                 _write_entry(t, cached)
-                if prune:
-                    _drop_replaced(cached)
             templates.append(t)
             labels.append(entry.class_id)
     finally:
@@ -437,8 +424,9 @@ def format_report_kv(report: EvalReport, class_names: list[str]) -> str:
 def write_report(report: EvalReport, class_names: list[str], prefix: str | Path) -> tuple[Path, Path]:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    txt = prefix.with_suffix(".txt")
-    kv = prefix.with_suffix(".kv")
+    # Appended, so that a prefix with a dot, such as run.1, keeps its name.
+    txt = prefix.with_name(prefix.name + ".txt")
+    kv = prefix.with_name(prefix.name + ".kv")
     # Both files are written before either is renamed, so a failed write
     # leaves the previous pair as it was.
     with replacing(txt) as txt_partial, replacing(kv) as kv_partial:

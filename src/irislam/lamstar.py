@@ -177,6 +177,9 @@ class LamstarNetwork:
         # of cols, so module m reads columns num_modules - 1 - m up to
         # num_modules - 2 - m + count at shifts first, first + 1, ...
         modules = self.num_modules
+        # The same columns: np.take wraps an index by repeated subtraction,
+        # which for a far first takes time in proportion to its distance.
+        first %= modules
         ext = np.take(cols.T, modules - 1 - first - np.arange(modules + count - 1),
                       axis=1, mode="wrap")
         # Each module's (dim, count) operand is a row-major view into ext with

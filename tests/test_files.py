@@ -28,7 +28,7 @@ def report(accuracy: float) -> EvalReport:
 
 
 def test_two_writers_of_one_cache_entry(tmp_path, monkeypatch):
-    entry = tmp_path / "cache" / "digest" / "c" / "0123" / "eye.irt"
+    entry = tmp_path / "cache" / "digest" / "c" / "eye.irt"
     templates = [IrisTemplate(np.full((2, 3), v), "c") for v in (0.25, 0.75)]
     expected = []
     for i, t in enumerate(templates):

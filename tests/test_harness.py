@@ -1,3 +1,4 @@
+import hashlib
 import math
 import shutil
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from irislam import harness
 from irislam.errors import ConfigError, DatasetError, FormatError
 from irislam.harness import (
+    EvalReport,
     HarnessConfig,
     compare_variants,
     format_comparison,
@@ -25,6 +27,7 @@ from irislam.harness import (
 )
 from irislam.imaging import GrayImage, save_gray_image
 from irislam.lamstar import LamstarConfig
+from irislam.normalization import load_template
 from irislam.segmentation import LocalizationConfig
 
 from fresh_interpreter import run_fresh
@@ -139,6 +142,17 @@ class TestRunTrain:
             assert "corrupt template-cache entry" in caplog.text
             assert entries[0].read_bytes() == whole
             assert second.read_bytes() == first.read_bytes()
+        # an entry labelled with another image's hash, as a replaced image
+        # leaves it, is a plain miss
+        other = entries[1].read_bytes()
+        assert other[: other.index(b"\n")] != whole[: whole.index(b"\n")]
+        entries[0].write_bytes(other)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            run_train(index, cfg, second)
+        assert "corrupt" not in caplog.text
+        assert entries[0].read_bytes() == whole
+        assert second.read_bytes() == first.read_bytes()
         # no temporary file is left beside the entries
         assert sorted(p for p in (tmp_path / "cache").rglob("*") if p.is_file()) == entries
 
@@ -150,8 +164,9 @@ class TestRunTrain:
         second = tmp_path / "second.lns"
         # another eye under the same name
         target, other = index.split("train")[0].path, index.split("train")[-1].path
-        class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
-        (old_hash_dir,) = (p.parent for p in class_cache.glob(f"*/{target.stem}.irt"))
+        cache = data / ".template_cache"
+        entry = cache / cfg.template_digest() / target.parent.name / f"{target.stem}.irt"
+        old_entry = entry.read_bytes()
         shutil.copyfile(other, target)
         computed = []
         compute_template = harness.compute_template
@@ -164,25 +179,26 @@ class TestRunTrain:
         run_train(index, cfg, second)
         assert computed == [target]
         assert second.read_bytes() != first.read_bytes()
-        # the old image's entry is gone; its hash directory stays, empty
-        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
-        assert old_hash_dir.is_dir() and not any(old_hash_dir.glob("*.irt"))
+        # the name's one entry is overwritten, labelled with the new image's hash
+        assert entry.read_bytes() != old_entry
+        assert load_template(entry).label == hashlib.sha256(other.read_bytes()).hexdigest()[:16]
+        assert not [p for p in cache.glob("*/*/*") if p.is_dir()]  # nothing below a class
 
-    def test_replaced_image_keeps_its_twins_hash_directory(self, small_dataset, tmp_path,
-                                                           monkeypatch):
+    def test_replaced_image_leaves_its_twin_cached(self, small_dataset, tmp_path, monkeypatch):
         data = tmp_path / "data"
         shutil.copytree(small_dataset, data, ignore=shutil.ignore_patterns(".template_cache"))
         index = index_dataset(data, 3)
         entries = index.split("train")[:2]
         assert entries[0].class_id == entries[1].class_id
         target, twin = (e.path for e in entries)
-        shutil.copyfile(twin, target)  # byte-identical images share one image-hash directory
+        shutil.copyfile(twin, target)  # byte-identical images, an entry each
         cfg = HarnessConfig(train_per_class=3)
         harness._templates_for(entries, index, cfg)
         class_cache = data / ".template_cache" / cfg.template_digest() / target.parent.name
-        (shared,) = class_cache.iterdir()
-        twin_entry = shared / f"{twin.stem}.irt"
+        target_entry, twin_entry = (class_cache / f"{p.stem}.irt" for p in (target, twin))
+        assert sorted(class_cache.iterdir()) == sorted([target_entry, twin_entry])
         twin_bytes = twin_entry.read_bytes()
+        assert target_entry.read_bytes() == twin_bytes
         # another eye under the target's name
         shutil.copyfile(index.split("train")[2].path, target)
         computed = []
@@ -195,11 +211,12 @@ class TestRunTrain:
         monkeypatch.setattr(harness, "compute_template", spy)
         harness._templates_for(entries, index, cfg)
         assert computed == [target]  # the twin is a cache hit
-        assert sorted(shared.iterdir()) == [twin_entry]
         assert twin_entry.read_bytes() == twin_bytes
-        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 1
+        assert target_entry.read_bytes() != twin_bytes
+        assert sorted(class_cache.iterdir()) == sorted([target_entry, twin_entry])
 
-    def test_shared_cache_dir_keeps_both_datasets(self, trained, tmp_path, monkeypatch):
+    def test_shared_cache_dir_holds_the_last_image_of_each_name(self, trained, tmp_path,
+                                                                monkeypatch):
         root, index, cfg, first, _ = trained
         shared = tmp_path / "shared"
         shutil.copytree(root / ".template_cache", shared)  # dataset one's entries
@@ -220,25 +237,12 @@ class TestRunTrain:
         run_train(index_dataset(other, cfg.train_per_class), cfg, tmp_path / "other.lns")
         assert computed == [target]
         again = tmp_path / "again.lns"
-        run_train(index, cfg, again)  # dataset one still reads every entry
-        assert computed == [target]
+        # dataset one recomputes only the name dataset two wrote last
+        run_train(index, cfg, again)
+        assert computed == [target, index.split("train")[0].path]
         assert again.read_bytes() == first.read_bytes()
         class_cache = shared / cfg.template_digest() / target.parent.name
-        assert len(list(class_cache.glob(f"*/{target.stem}.irt"))) == 2
-
-    def test_pruning_deletes_only_stale_entries(self, tmp_path):
-        class_dir = tmp_path / "class000"
-        fresh, stale, busy, other = (class_dir / h for h in ("aa", "bb", "cc", "dd"))
-        for d in (fresh, stale, busy, other):
-            d.mkdir(parents=True)
-        for path in (fresh / "img00.irt", stale / "img00.irt", busy / "img00.irt",
-                     busy / "img00.irt.0123abcd.partial", other / "img01.irt"):
-            path.write_bytes(b"x")
-        harness._drop_replaced(fresh / "img00.irt")
-        # a concurrent writer's temporary file and every directory stay
-        assert sorted(p.relative_to(class_dir).as_posix() for p in class_dir.rglob("*")) == [
-            "aa", "aa/img00.irt", "bb", "cc", "cc/img00.irt.0123abcd.partial",
-            "dd", "dd/img01.irt"]
+        assert [p.name for p in class_cache.glob(f"{target.stem}*")] == [f"{target.stem}.irt"]
 
     def test_empty_index_is_error(self, tmp_path):
         from irislam.harness import DatasetIndex
@@ -460,6 +464,17 @@ class TestReports:
         assert kv_text.startswith("accuracy = ")
         # machine report is timing-free so identical runs are byte-identical
         assert "time" not in kv_text
+
+    def test_prefix_with_a_dot_keeps_its_name(self, tmp_path):
+        # run.1 and run.2 name two pairs of reports, not run.txt and run.kv twice
+        report = EvalReport(accuracy=1.0, per_class_accuracy=np.array([1.0]),
+                            confusion=np.array([[1]]), train_seconds=None,
+                            test_seconds=0.0, config_echo={}, num_test=1)
+        for run in ("run.1", "run.2"):
+            txt, kv = write_report(report, ["a"], tmp_path / run)
+            assert (txt.name, kv.name) == (f"{run}.txt", f"{run}.kv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.1.kv", "run.1.txt", "run.2.kv", "run.2.txt"]
 
     def test_kv_deterministic(self, trained):
         root, index, cfg, model_path, _ = trained

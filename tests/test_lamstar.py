@@ -723,6 +723,7 @@ class TestClassify:
     def test_huge_shift_range_searches_each_rotation_once(self):
         net, templates, _ = self.trained_net()
         rng = np.random.default_rng(12)
+        classify(net, templates[0])  # makes the link matrix and loads scipy.sparse
         for t in [*templates, IrisTemplate(rng.random((4, 12)))]:
             tracemalloc.start()
             try:
