@@ -225,8 +225,8 @@ def compute_template(path: Path, label: str, cfg: HarnessConfig) -> IrisTemplate
 def _load_cached(path: Path, shape: tuple[int, int], image_hash: str) -> IrisTemplate | None:
     """The cached template at path, or None when there is no entry, the
     entry is corrupt or not of the given shape (logged), or its label is
-    not image_hash, so that it holds an image since replaced under its
-    name. Such an entry is then recomputed and overwritten."""
+    not image_hash: the image was replaced under its name (not logged).
+    Such an entry is then recomputed and overwritten."""
     if not path.is_file():
         return None
     try:
