@@ -26,15 +26,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-# classify loads scipy.sparse on its first call. Loading it with the harness
-# keeps that import out of run_eval's test time and out of any run timed
-# after the harness is imported.
-import scipy.sparse  # noqa: F401
-
 from irislam.errors import ConfigError, DatasetError, FormatError, LocalizationError
 from irislam.files import replacing
 from irislam.imaging import load_gray_image
 from irislam.lamstar import (
+    LNS1_SETTINGS,
     LamstarConfig,
     LamstarNetwork,
     TrainingLog,
@@ -49,9 +45,6 @@ from irislam.segmentation import LocalizationConfig, localize_iris
 logger = logging.getLogger(__name__)
 
 _SECTIONS = ("localization", "lamstar")  # nested configs, echoed as "<section>.<field>"
-# Training settings an LNS1 model file does not record.
-_UNRECORDED_TRAINING_KEYS = ("lamstar.epochs", "lamstar.learning_rate",
-                             "lamstar.convergence_target", "lamstar.max_update_iters")
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -183,8 +176,9 @@ def index_dataset(root: str | Path, train_per_class: int) -> DatasetIndex:
     Classes with fewer than train_per_class + 1 images are skipped with a
     warning (no test remainder would exist). Directories whose names start
     with a dot, such as the default template cache, are not classes. A
-    class name is an ASCII template label, so one with whitespace or a
-    non-ASCII character raises DatasetError.
+    class name is a .kv report key (per_class_accuracy.<class>,
+    confusion.<class>) and a template-cache directory name, so one with
+    whitespace or a non-ASCII character raises DatasetError.
     """
     root = Path(root)
     if not root.is_dir():
@@ -238,13 +232,6 @@ def _load_cached(path: Path, shape: tuple[int, int], image_hash: str) -> IrisTem
         logger.warning("recomputing corrupt template-cache entry %s: %s", path, exc)
         return None
     return t if t.label == image_hash else None
-
-
-def _write_entry(t: IrisTemplate, entry: Path) -> None:
-    """Write the entry, making its directory; save_template replaces it only
-    once complete, so a crash never leaves a partial entry."""
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    save_template(t, entry)
 
 
 def _worker_count() -> int:
@@ -301,7 +288,10 @@ def _templates_for(
                     logger.warning("excluding %s: %s", entry.path, exc)
                     failed.append(entry)
                     continue
-                _write_entry(t, cached)
+                # save_template replaces the entry only once it is complete,
+                # so a crash never leaves a partial entry.
+                cached.parent.mkdir(parents=True, exist_ok=True)
+                save_template(t, cached)
             templates.append(t)
             labels.append(entry.class_id)
     finally:
@@ -363,9 +353,10 @@ def run_eval(
         np.diag(confusion), row_sums,
         out=np.full(n, np.nan), where=row_sums > 0,
     )
-    # classify used the variant, delta and threshold saved in the model;
-    # LNS1 records no other training setting, so none is echoed
+    # classify used the settings the model records; its other lamstar
+    # fields are defaults, not its own, so they are not echoed
     model_cfg = replace(cfg, lamstar=net.config)
+    recorded = {f"lamstar.{name}" for name in LNS1_SETTINGS}
     return EvalReport(
         accuracy=accuracy,
         per_class_accuracy=per_class,
@@ -373,7 +364,7 @@ def run_eval(
         train_seconds=None,
         test_seconds=test_seconds,
         config_echo={k: v for k, v in model_cfg.echo().items()
-                     if k not in _UNRECORDED_TRAINING_KEYS},
+                     if not k.startswith("lamstar.") or k in recorded},
         num_test=total,
         num_failed=len(failed),
     )

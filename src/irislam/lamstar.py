@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy import sparse
 
 from irislam.errors import ConfigError, FormatError
 from irislam.files import replacing
@@ -339,8 +340,6 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     ascending order). Modules with no neuron above the winner threshold
     abstain. Ties in the final argmax go to the lowest class index.
     """
-    # Imported here so that commands that never classify do not load it.
-    from scipy import sparse
     if net.decision is None:
         raise ValueError("network has not been trained")
     if shift_range < 0:
@@ -360,6 +359,10 @@ def classify(net: LamstarNetwork, t: IrisTemplate, shift_range: int = 0) -> Pred
     return Prediction(class_index=int(np.argmax(scores[best])), scores=scores[best],
                       shift=best - shift_range)
 
+
+# The LamstarConfig fields an LNS1 header records; a loaded model holds
+# every other field at its default, not at the value it was trained with.
+LNS1_SETTINGS = ("normalized", "delta", "winner_threshold")
 
 # One sparse decision-layer entry of an LNS1 file.
 _RECORD = np.dtype([("module", "<u4"), ("neuron", "<u4"), ("cls", "<u4"),

@@ -113,10 +113,13 @@ def rotate_template(t: IrisTemplate, shift: int) -> IrisTemplate:
 
 def save_template(t: IrisTemplate, path: str | Path) -> None:
     """Write an IRT1 file: ASCII header then row-major little-endian f64.
-    path is replaced only once the file is complete."""
-    label = t.label if t.label is not None else "-"
-    if any(c.isspace() for c in label):
-        raise ValueError(f"label must not contain whitespace: {label!r}")
+    path is replaced only once the file is complete. A label that the
+    header would not read back (empty, "-", the no-label mark, not ASCII,
+    or with whitespace) raises ValueError before any file is made."""
+    label = "-" if t.label is None else t.label
+    if t.label is not None and (label in ("", "-") or not label.isascii()
+                                or any(c.isspace() for c in label)):
+        raise ValueError(f"label must be non-empty ASCII without whitespace, not '-': {label!r}")
     header = f"IRT1 {t.radial_res} {t.angular_res} {label}\n".encode("ascii")
     body = t.values.astype("<f8").tobytes()
     with replacing(path) as partial:

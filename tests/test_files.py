@@ -45,8 +45,9 @@ def test_two_writers_of_one_cache_entry(tmp_path, monkeypatch):
         os_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_once_both_are_written)
+    entry.parent.mkdir(parents=True)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(harness._write_entry, t, entry) for t in templates]
+        futures = [pool.submit(save_template, t, entry) for t in templates]
         for f in futures:
             f.result(timeout=30)
     # each writer had its own temporary file when either renamed

@@ -4,6 +4,7 @@ import json
 import textwrap
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -649,10 +650,9 @@ class TestClassify:
         assert pred.scores.dtype == np.float64
         np.testing.assert_array_equal(pred.scores, np.zeros(2))
 
-    def test_scipy_sparse_loaded_by_harness_or_classify(self, tmp_path):
-        # The network and the image stages do not load scipy.sparse; in a
-        # fresh interpreter the first classify loads it and scores as here.
-        # The harness loads it on import, so that no timed run pays for it.
+    def test_scipy_sparse_loaded_by_the_network(self, tmp_path):
+        # In a fresh interpreter the network's own import loads scipy.sparse,
+        # and a first classify there scores the same bytes as here.
         net, _, _ = self.trained_net()
         save_model(net, tmp_path / "m.lns")
         probe = np.random.default_rng(21).random((4, 12))
@@ -660,20 +660,16 @@ class TestClassify:
         script = textwrap.dedent("""
             import sys
             import numpy as np
-            import irislam.segmentation, irislam.synthdata
             from irislam.lamstar import classify, load_model
+            loaded = "scipy.sparse" in sys.modules
             from irislam.normalization import IrisTemplate
-            before = "scipy.sparse" in sys.modules
             pred = classify(load_model(sys.argv[1]), IrisTemplate(np.load(sys.argv[2])), 3)
-            print(before, "scipy.sparse" in sys.modules, pred.class_index, pred.shift,
-                  pred.scores.tobytes().hex())
+            print(loaded, pred.class_index, pred.shift, pred.scores.tobytes().hex())
         """)
         out = run_fresh(script, str(tmp_path / "m.lns"), str(tmp_path / "probe.npy"))
         pred = classify(load_model(tmp_path / "m.lns"), IrisTemplate(probe), 3)
-        assert out.split() == ["False", "True", str(pred.class_index), str(pred.shift),
+        assert out.split() == ["True", str(pred.class_index), str(pred.shift),
                                pred.scores.tobytes().hex()]
-        harness = run_fresh("import sys, irislam.harness; print('scipy.sparse' in sys.modules)")
-        assert harness.split() == ["True"]
 
     def test_shift_search_recovers_rotated_template(self):
         rng = np.random.default_rng(8)
@@ -887,6 +883,24 @@ class TestModelFile:
         b = classify(back, probe, shift_range=2)
         assert a.class_index == b.class_index
         np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_header_records_exactly_the_lns1_settings(self, tmp_path):
+        # With every field off its default, the loaded model holds the saved
+        # value of each field LNS1_SETTINGS names and the default of the rest.
+        cfg = LamstarConfig(learning_rate=0.5, winner_threshold=0.9, convergence_target=0.99,
+                            max_update_iters=7, delta=0.1, normalized=True, epochs=3)
+        default = LamstarConfig()
+        names = [f.name for f in fields(LamstarConfig)]
+        assert all(getattr(cfg, name) != getattr(default, name) for name in names)
+        assert set(lamstar.LNS1_SETTINGS) <= set(names)
+        templates, labels = toy_templates()
+        net = LamstarNetwork(2, 2, 2, cfg)
+        train(net, templates, labels)
+        save_model(net, tmp_path / "m.lns")
+        back = load_model(tmp_path / "m.lns").config
+        for name in names:
+            kept = cfg if name in lamstar.LNS1_SETTINGS else default
+            assert getattr(back, name) == getattr(kept, name), name
 
     def test_save_is_deterministic(self, tmp_path):
         templates, labels = toy_templates()
@@ -1132,10 +1146,10 @@ class TestModelFile:
 
 
 def test_each_import_loads_only_what_it_runs():
-    # The package root loads no stage, the network no image code, and the
-    # rubber sheet not the Hough. No stage loads scipy. The harness loads
-    # scipy.sparse for classify, and none of the scipy subpackages the
-    # image chain once used.
+    # The package root loads no stage, the rubber sheet not the Hough, and
+    # no image stage loads scipy. The network loads no image code, and of
+    # scipy only scipy.sparse, for classify. The harness loads no scipy
+    # package the network does not.
     script = textwrap.dedent("""
         import json, sys
         loaded = []
@@ -1144,18 +1158,22 @@ def test_each_import_loads_only_what_it_runs():
             loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in ("irislam", "scipy")))
         print(json.dumps(loaded))
     """)
-    stages = ("irislam.lamstar", "irislam.normalization", "irislam.imaging",
-              "irislam.segmentation", "irislam.synthdata")
-    root, network, rubber_sheet, *_, every_stage, harness = json.loads(
-        run_fresh(script, "irislam", *stages, "irislam.harness"))
+    images = ("irislam.normalization", "irislam.imaging", "irislam.segmentation",
+              "irislam.synthdata")
+    root, rubber_sheet, *_, every_image_stage, harness = json.loads(
+        run_fresh(script, "irislam", *images, "irislam.harness"))
+    [network] = json.loads(run_fresh(script, "irislam.lamstar"))
     assert root == ["irislam"]
-    assert network == ["irislam", "irislam.errors", "irislam.files", "irislam.lamstar"]
     assert "irislam.segmentation" not in rubber_sheet
-    assert set(stages) <= set(every_stage)
-    assert [m for m in every_stage if m.startswith("scipy")] == []
-    assert "scipy.sparse" in harness
-    assert [m for m in harness
-            if m.split(".")[:2] in (["scipy", "ndimage"], ["scipy", "fft"], ["scipy", "special"])] == []
+    assert set(images) <= set(every_image_stage)
+    assert [m for m in every_image_stage if m.startswith("scipy")] == []
+    assert [m for m in network if m.startswith("irislam")] == [
+        "irislam", "irislam.errors", "irislam.files", "irislam.lamstar"]
+    packages = {".".join(m.split(".")[:2]) for m in network if m.startswith("scipy.")}
+    assert "scipy.sparse" in packages
+    assert packages.isdisjoint({"scipy.ndimage", "scipy.fft", "scipy.special", "scipy.linalg"})
+    assert [m for m in harness if m.startswith("scipy")] == [
+        m for m in network if m.startswith("scipy")]
 
 
 @pytest.mark.parametrize("call, message", [

@@ -278,7 +278,14 @@ class TestTemplateFile:
     (lambda path: IrisTemplate(np.zeros(8)), "2-D"),
     (lambda path: save_template(IrisTemplate(np.zeros((2, 4)), label="left eye"), path),
      "whitespace"),
-], ids=["one_dimensional_template", "label_with_whitespace"])
+    # load_template could not read these back: an empty label field, the
+    # no-label mark, and a header that is not ASCII
+    (lambda path: save_template(IrisTemplate(np.zeros((2, 4)), label=""), path), ": ''$"),
+    (lambda path: save_template(IrisTemplate(np.zeros((2, 4)), label="-"), path), ": '-'$"),
+    (lambda path: save_template(IrisTemplate(np.zeros((2, 4)), label="\u00e9"), path),
+     ": '\u00e9'$"),
+], ids=["one_dimensional_template", "label_with_whitespace", "empty_label", "no_label_mark",
+        "non_ascii_label"])
 def test_argument_errors(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "t.irt")
